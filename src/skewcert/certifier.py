@@ -33,7 +33,6 @@ class Budget:
     d_max: int = 14          # digit-extension depth beyond q
     x_depth_max: int = 20    # cell bisections
     max_nodes: int = 6000    # nodes per (cell, pair) task
-    witness_after: int = 256  # nodes before trying a greedy tangency witness
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class Certificate:
     node_count: int
     task: CertTask
     reason: str = ""
-    witness: tuple[float, Word, Word] | None = None  # (x, ext_a, ext_b) tangency data
 
     @property
     def transversal(self) -> bool:
@@ -102,9 +100,10 @@ def _build_chain(
 ) -> _Chain:
     """Chain over x for the digit string, memoized on (x, digits).
 
-    The cache pays off because identical chains recur across the pairs of a
-    cell (shared base words), across bisection rebuilds, and across the
-    rungs of an (eps, delta) ladder.
+    `tangency_graph` gives each cell a fresh cache for the length of one
+    call, so it pays off where identical chains recur within that cell:
+    across its pairs (shared base words) and across bisection rebuilds.
+    Nothing carries over between cells, calls or rungs.
     """
     if cache is not None:
         key = (x.lo, x.hi, digits)
@@ -186,80 +185,6 @@ def _second_deriv_pair_bound(params: SystemParams) -> float:
     return out
 
 
-def _find_tangency_witness(
-    params: SystemParams,
-    x: float,
-    ka: Word,
-    lb: Word,
-    eps: float,
-    delta: float,
-    max_depth: int = 900,
-) -> tuple[Word, Word] | None:
-    """Greedy search for continuations making (ka.u, lb.v) (eps, delta)-tangent at x.
-
-    Descends one digit pair per level, always choosing the extension that
-    minimizes the worse of the two scaled margins, until the truncation
-    tails are small enough to check the tangency box rigorously.  Returns
-    the extended word pair on success, None when the greedy path misses
-    (which proves nothing).
-    """
-    b = params.b
-    psi = params.psi
-    dpsi = params.dpsi
-    gamma_iv = params.gamma_iv
-    step = gamma_iv.scale_div(b)
-    one_minus_g = Interval.point(1.0) - gamma_iv
-    b_minus_g = params.b_iv - gamma_iv
-    psi_sup = Interval.point(params.psi_sup)
-    dpsi_sup = Interval.point(params.dpsi_sup)
-
-    ca = _build_chain(params, Interval.point(x), ka)
-    cb = _build_chain(params, Interval.point(x), lb)
-    g = gamma_iv.pow_int(len(ka))
-    h = gamma_iv.pow_int(len(ka)) / params.b_iv.pow_int(len(ka) + 1)
-    ext_a: list[int] = []
-    ext_b: list[int] = []
-    for _ in range(max_depth):
-        tv2 = 2.0 * (psi_sup * g / one_minus_g).hi
-        td2 = 2.0 * (dpsi_sup * h * params.b_iv / b_minus_g).hi
-        val = (ca.p - cb.p).mag()
-        der = (ca.dp - cb.dp).mag()
-        if tv2 <= 0.25 * eps and td2 <= 0.25 * delta:
-            if val + tv2 <= eps and der + td2 <= delta:
-                return tuple(ext_a), tuple(ext_b)
-            return None
-        cand_a = []
-        cand_b = []
-        for dig in range(b):
-            za = ca.z.shift(float(dig)).scale_div(b)
-            cand_a.append(
-                _Chain(ca.p + g * psi.eval_iv(za), ca.dp + h * dpsi.eval_iv(za), za)
-            )
-            zb = cb.z.shift(float(dig)).scale_div(b)
-            cand_b.append(
-                _Chain(cb.p + g * psi.eval_iv(zb), cb.dp + h * dpsi.eval_iv(zb), zb)
-            )
-        best = None
-        best_score = math.inf
-        for da in range(b):
-            for db in range(b):
-                score = max(
-                    abs(cand_a[da].p.mid() - cand_b[db].p.mid()) / eps,
-                    abs(cand_a[da].dp.mid() - cand_b[db].dp.mid()) / delta,
-                )
-                if score < best_score:
-                    best_score = score
-                    best = (da, db)
-        da, db = best
-        ca = cand_a[da]
-        cb = cand_b[db]
-        ext_a.append(da)
-        ext_b.append(db)
-        g = g * gamma_iv
-        h = h * step
-    return None
-
-
 def pair_diff_enclosure(
     params: SystemParams,
     cell: Interval,
@@ -324,27 +249,12 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
 
     leaves: list[Leaf] = []
     nodes = 0
-    next_witness_at = budget.witness_after
     stack = [fresh(task.cell, 0, 0, (), ())]
     while stack:
         cell, xm, xdepth, d, ea, eb, ca, cb, ma, mb = stack.pop()
         nodes += 1
         if nodes > budget.max_nodes:
             return Certificate("unresolved", leaves, nodes, task, reason="node budget")
-        if nodes == next_witness_at:
-            # the search is struggling; look for an actual tangency witness
-            # along a single greedy digit path before burning more budget
-            next_witness_at *= 4
-            found = _find_tangency_witness(params, xm, k + ea, l + eb, eps, delta)
-            if found is not None:
-                return Certificate(
-                    "unresolved",
-                    leaves,
-                    nodes,
-                    task,
-                    reason="tangency witness",
-                    witness=(xm, ea + found[0], eb + found[1]),
-                )
         offs = Interval(
             math.nextafter(cell.lo - xm, -math.inf),
             math.nextafter(cell.hi - xm, math.inf),
@@ -471,9 +381,6 @@ class PairGraph:
     def is_diagonal_only(self, j: int) -> bool:
         return all(k == l for (k, l) in self.unresolved[j])
 
-    def row_degree(self, j: int, k: Word) -> int:
-        return sum(1 for (a, _) in self.unresolved[j] if a == k)
-
     def e_by_cell(self) -> list[int]:
         out = []
         for j in range(self.n_cells):
@@ -500,9 +407,10 @@ def tangency_graph(
 ) -> PairGraph:
     """Certify every word pair over every base-b cell at resolution b^p.
 
-    When `prior` is a graph for the same (q, p) at larger (eps, delta),
-    pairs it already certified are inherited: transversality at a larger
-    margin implies transversality at any smaller one.
+    When `prior` is a graph for the same (q, p) at equal or larger
+    (eps, delta), pairs it already certified are inherited and only its
+    unresolved pairs are certified again: transversality at some margins
+    implies transversality at equal or smaller ones.
     """
     b = params.b
     words = all_words(b, q)
@@ -667,10 +575,6 @@ def noncohomology_witness(
 
 # ---------------------------------------------------------------------
 # graph symmetry helper (odd psi)
-
-
-def reflected_cell(graph: PairGraph, j: int) -> int:
-    return graph.n_cells - 1 - j
 
 
 def reflected_pairs(graph: PairGraph, j: int) -> set[tuple[Word, Word]]:

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -75,7 +76,6 @@ def _budget_from(cfg: dict) -> Budget:
         d_max=cfg.get("d_max", base.d_max),
         x_depth_max=cfg.get("x_depth_max", base.x_depth_max),
         max_nodes=cfg.get("max_nodes", base.max_nodes),
-        witness_after=cfg.get("witness_after", base.witness_after),
     )
 
 
@@ -163,17 +163,23 @@ def cmd_certify(cfg: dict, out: Path) -> int:
 
 
 def _sweep_worker(job: tuple) -> dict:
+    """One sweep row; a gamma whose certification raises gets an error row,
+    so the other rows of the sweep are still written."""
     cfg = json.loads(job[0])
     gamma = job[1]
     cfg = dict(cfg, gamma=gamma)
-    params = _make_params(cfg)
-    v = certify_main(
-        params,
-        q_max=cfg.get("qmax", 3),
-        grid_p=cfg.get("grid_p"),
-        ladder=tuple(cfg.get("eps_ladder", DEFAULT_LADDER)),
-        budget=_budget_from(cfg),
-    )
+    try:
+        v = certify_main(
+            _make_params(cfg),
+            q_max=cfg.get("qmax", 3),
+            grid_p=cfg.get("grid_p"),
+            ladder=tuple(cfg.get("eps_ladder", DEFAULT_LADDER)),
+            budget=_budget_from(cfg),
+        )
+    except Exception as exc:
+        traceback.print_exc()
+        row = dict.fromkeys(("q", "scheme", "bound", "target", "eps", "e_global"))
+        return dict(row, gamma=gamma, success=False, error=f"{type(exc).__name__}: {exc}")
     return {
         "gamma": gamma,
         "success": v.success,
@@ -203,8 +209,9 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
         k += 1
     cfg_json = json.dumps(cfg, sort_keys=True)
     jobs = [(cfg_json, g) for g in gammas]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]
@@ -225,6 +232,10 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     _write_manifest(out, "sweep", cfg, ["sweep.csv", "report.json"], t0)
     n_ok = sum(1 for r in rows if r["success"])
     print(f"sweep: {n_ok}/{len(rows)} gamma values certified")
+    n_err = sum(1 for r in rows if "error" in r)
+    if n_err:
+        print(f"sweep: {n_err} gamma values failed with an error", file=sys.stderr)
+        return 1
     return 0 if n_ok == len(rows) else 2
 
 
@@ -477,7 +488,12 @@ def main(argv: list[str] | None = None) -> int:
     ps.add_argument("--qmax", type=int)
     ps.add_argument("--grid-p", dest="grid_p", type=int)
     ps.add_argument("--max-nodes", dest="max_nodes", type=int)
-    ps.add_argument("--threads", type=int)
+    ps.add_argument(
+        "--threads",
+        type=int,
+        help="worker processes (default 1, or $SKEWCERT_THREADS); capped at the "
+        "number of gamma values and of usable CPUs",
+    )
 
     pm = sub.add_parser("measure", help="fiber-measure statistics and local dimension")
     _add_common(pm)

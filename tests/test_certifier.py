@@ -148,8 +148,8 @@ def test_certificate_soundness_sampling(p27):
 
 def test_tangency_witness_detection():
     # gamma=0.68 has a genuine tangency for (0),(1) near x = 1/2: the
-    # certifier must not claim transversality there, and the witness
-    # search should cut the task short
+    # certifier must not claim transversality there; the pair stays
+    # unresolved, which is a budget statement, not a tangency claim
     params = SystemParams.classical(2, 0.68)
     cert = certify_pair(
         CertTask(params, 1, Interval(0.5, 0.515625), ((0,), (1,)), 1e-2, 1e-2)

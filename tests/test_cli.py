@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from skewcert import cli
 from skewcert.cli import main
+from skewcert.sigma import SigmaScheme, Verdict
 
 
 def run_cli(args: list[str]) -> int:
@@ -168,3 +170,72 @@ def test_console_script_help():
     assert proc.returncode == 0
     for sub in ("certify", "sweep", "measure", "boxdim", "selftest"):
         assert sub in proc.stdout
+
+
+def _stub_verdict(params, **_):
+    return Verdict(
+        True, params.b, params.gamma, 1, SigmaScheme("trivial", 1.0), 1.0,
+        params.b * params.gamma, params.b * params.gamma - 1.0, 1e-2, 1e-2, 2,
+    )
+
+
+class _SerialPool:
+    """Stands in for a process pool: maps in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,expected",
+    [(64, 8, [3]), (2, 8, [2]), (64, 2, [2]), (64, 1, []), (1, 8, [])],
+)
+def test_sweep_worker_count_capped(tmp_path, monkeypatch, threads, cpus, expected):
+    # 3 gamma values; the pool gets min(threads, jobs, usable CPUs) workers
+    # and is skipped when that is 1
+    requested = []
+
+    def pool(max_workers):
+        requested.append(max_workers)
+        return _SerialPool()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(cli, "certify_main", _stub_verdict)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rc = run_cli(
+        ["sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.5",
+         "--gamma-step", "0.1", "--qmax", "1", "--threads", str(threads),
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert requested == expected
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+
+
+def test_sweep_error_row_keeps_other_rows(tmp_path, monkeypatch):
+    def flaky(params, **kw):
+        if params.gamma == 0.4:
+            raise RuntimeError("boom")
+        return _stub_verdict(params, **kw)
+
+    monkeypatch.setattr(cli, "certify_main", flaky)
+    rc = run_cli(
+        ["sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.5",
+         "--gamma-step", "0.1", "--qmax", "1", "--threads", "1", "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [r["gamma"] for r in rows] == [0.3, 0.4, 0.5]
+    assert [r["success"] for r in rows] == [True, False, True]
+    assert rows[1]["error"] == "RuntimeError: boom"
+    assert "error" not in rows[0] and "error" not in rows[2]
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "gamma,q,scheme,bound,target,success,eps,e_global"
+    assert len(lines) == 4
+    assert lines[2] == "0.4,None,None,None,None,0,None,None"

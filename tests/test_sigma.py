@@ -3,8 +3,10 @@ import math
 import pytest
 
 from skewcert.certifier import PairGraph, all_words, e_upper, tangency_graph, Budget
+from skewcert import sigma
 from skewcert.series import SystemParams
 from skewcert.sigma import (
+    DEFAULT_LADDER,
     GOLDEN,
     SQRT2,
     certify_main,
@@ -248,3 +250,41 @@ def test_verdict_serialization():
     import json
 
     json.dumps(d)  # payload is JSON-clean
+
+
+def _single_pass_ladder(params, q_max, p):
+    """(q, eps, graph, bound, scheme) per rung of a full-budget ladder with
+    one tangency_graph call per rung, up to the first success."""
+    out = []
+    for q in range(1, q_max + 1):
+        prior = None
+        for eps in DEFAULT_LADDER:
+            prior = tangency_graph(params, q, p, eps, eps, Budget(), prior=prior)
+            bound, scheme = sigma_upper(prior, params, q)
+            out.append((q, eps, prior, bound, scheme))
+            if bound < (params.gamma * params.b) ** q:
+                return out
+    return out
+
+
+@pytest.mark.parametrize("probe_nodes", [None, 8])
+def test_certify_main_two_pass_rungs_match_single_pass(monkeypatch, probe_nodes):
+    # a probe budget of 8 nodes leaves certifiable pairs unresolved, so the
+    # full-budget pass of each missed rung has to recover them
+    if probe_nodes is not None:
+        monkeypatch.setattr(sigma, "PROBE_NODES", probe_nodes)
+    params = SystemParams.classical(2, 0.68)
+    p = 4
+    v = certify_main(params, 2, grid_p=p, keep_graphs=True)
+    ref = _single_pass_ladder(params, 2, p)
+    assert [(r.q, r.eps) for r in v.rungs] == [(q, eps) for q, eps, *_ in ref]
+    missed = [(r, ref_rung) for r, ref_rung in zip(v.rungs, ref) if not r.success]
+    assert missed
+    for r, (_, _, graph, bound, scheme) in missed:
+        assert r.graph.unresolved == graph.unresolved
+        assert (r.sigma_bound, r.scheme_kind) == (bound, scheme.kind)
+    _, _, _, bound, scheme = ref[-1]
+    assert v.success == (bound < (params.gamma * params.b) ** ref[-1][0])
+    assert (v.q, v.sigma_bound, v.scheme.kind if v.scheme else None) == (
+        (ref[-1][0], bound, scheme.kind) if v.success else (None, None, None)
+    )
