@@ -10,9 +10,11 @@ tangency claim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from .interval import Interval, sin2pi
 from .series import (
@@ -75,6 +77,7 @@ class Certificate:
     node_count: int
     task: CertTask
     reason: str = ""
+    derived_from: int | None = None  # source cell of a mirror-derived certificate
 
     @property
     def transversal(self) -> bool:
@@ -353,7 +356,10 @@ class PairGraph:
     """Per-cell sets of word pairs not certified transversal.
 
     Cells are [j/b^p, (j+1)/b^p); the stored pair sets are symmetric and
-    always contain the diagonal.
+    always contain the diagonal.  `certificates` maps (j, k, l) with k < l
+    to the pair's Certificate.  For odd psi, those of the cells
+    j > (n - 1)/2 are mirror images of cell n - 1 - j, which their
+    `derived_from` names (see `tangency_graph`).
     """
 
     b: int
@@ -395,6 +401,90 @@ class PairGraph:
         return (j + word_value(self.b, w) * self.b**self.p) // (self.b**self.q)
 
 
+def _one_minus(x: float) -> tuple[float, float]:
+    """1 - x split exactly as s + e (TwoSum), s the rounded difference."""
+    s = 1.0 - x
+    bp = s - 1.0
+    ap = s - bp
+    return s, (1.0 - ap) + (-x - bp)
+
+
+def _mirror_certificate(
+    cert: Certificate,
+    cell: Interval,
+    pair: tuple[Word, Word],
+    source: int,
+    slopes: tuple[float, float],
+    reflected: Callable[[Word], Word],
+) -> Certificate | None:
+    """Certificate of `pair` on `cell` read off its odd-psi mirror image `cert`.
+
+    With x -> 1 - x and every digit d -> b - 1 - d, S changes sign and S'
+    does not, so the swapped reflected pair has the same value difference
+    and the negated derivative difference at the reflected point.  Leaf
+    cells are reflected with outward rounding, and the leaves on the
+    boundary of the source cell are stretched to `cell`.  A leaf that grew
+    by s is widened by slopes[0] s in value and slopes[1] s in derivative,
+    where slopes bounds |D'| and |D''| (D the pair's value difference).
+    Returns None when a widened leaf of a transversal certificate no longer
+    clears its margin; such leaves are dropped from an unresolved one.
+    `reflected` is reflect_word for the base, memoized so that equal
+    extension words share one reflected tuple.
+    """
+    task = replace(cert.task, cell=cell, pair=pair)
+    src = cert.task.cell
+    leaves = []
+    for leaf in reversed(cert.leaves):
+        s, e = _one_minus(leaf.cell_hi)
+        lo = s if e >= 0.0 else math.nextafter(s, -math.inf)
+        slack_lo = e if e >= 0.0 else s - lo
+        if leaf.cell_hi == src.hi and cell.lo < lo:
+            gap = math.nextafter(lo - cell.lo, math.inf)
+            slack_lo = math.nextafter(slack_lo + gap, math.inf)
+            lo = cell.lo
+        s, e = _one_minus(leaf.cell_lo)
+        hi = s if e <= 0.0 else math.nextafter(s, math.inf)
+        slack_hi = -e if e <= 0.0 else hi - s
+        if leaf.cell_lo == src.lo and cell.hi > hi:
+            gap = math.nextafter(cell.hi - hi, math.inf)
+            slack_hi = math.nextafter(slack_hi + gap, math.inf)
+            hi = cell.hi
+        slack = max(slack_lo, slack_hi)
+        val_lo, val_hi = leaf.val_lo, leaf.val_hi
+        if slack > 0.0:
+            rv = math.nextafter(slopes[0] * slack, math.inf)
+            val_lo = math.nextafter(val_lo - rv, -math.inf)
+            val_hi = math.nextafter(val_hi + rv, math.inf)
+        if leaf.margin == "value":
+            der_lo, der_hi = leaf.der_lo, leaf.der_hi  # NaN: no derivative enclosure
+            clears = val_lo > task.eps or val_hi < -task.eps
+        else:
+            der_lo, der_hi = -leaf.der_hi, -leaf.der_lo
+            if slack > 0.0:
+                rd = math.nextafter(slopes[1] * slack, math.inf)
+                der_lo = math.nextafter(der_lo - rd, -math.inf)
+                der_hi = math.nextafter(der_hi + rd, math.inf)
+            clears = der_lo > task.delta or der_hi < -task.delta
+        if not clears:
+            if cert.transversal:
+                return None
+            continue
+        leaves.append(
+            Leaf(
+                lo,
+                hi,
+                reflected(leaf.ext_b),
+                reflected(leaf.ext_a),
+                val_lo,
+                val_hi,
+                der_lo,
+                der_hi,
+                leaf.margin,
+            )
+        )
+    return Certificate(cert.status, leaves, cert.node_count, task, cert.reason, source)
+
+
 def tangency_graph(
     params: SystemParams,
     q: int,
@@ -411,35 +501,60 @@ def tangency_graph(
     (eps, delta), pairs it already certified are inherited and only its
     unresolved pairs are certified again: transversality at some margins
     implies transversality at equal or smaller ones.
+
+    When psi is odd (no cosine terms), only the cells j <= (n - 1)/2 are
+    certified.  Cell n - 1 - j takes the mirror images of cell j's
+    certificates (`_mirror_certificate`, with `derived_from` = j), so its
+    unresolved pairs are the reflected pairs of cell j; a pair whose mirror
+    image fails its margin is certified directly.
     """
     b = params.b
     words = all_words(b, q)
+    pairs = [(k, l) for i, k in enumerate(words) for l in words[i + 1 :]]
     n_cells = b**p
     graph = PairGraph(b, q, p, eps, delta, [set() for _ in range(n_cells)])
     if prior is not None and (prior.q != q or prior.p != p or prior.b != b):
         raise ValueError("prior graph shape mismatch")
+    mirror = all(c.mag() == 0.0 for c in params.psi.cos_coeffs)
+    if mirror:
+        reflected = functools.cache(functools.partial(reflect_word, b))
+        index = {pair: i for i, pair in enumerate(pairs)}
+        mirror_index = [index[(reflected(l), reflected(k))] for k, l in pairs]
+        slopes = (2.0 * tail_deriv(params, 0), _second_deriv_pair_bound(params))
+    sources: dict[int, list[Certificate | None]] = {}
     for j in range(n_cells):
         cell = graph.cell_interval(j)
         cell_pairs = graph.unresolved[j]
         for w in words:
             cell_pairs.add((w, w))
+        source = n_cells - 1 - j
+        mirrored = sources.pop(source, None)
+        certs: list[Certificate | None] = []
         cache: dict = {}
-        for i, k in enumerate(words):
-            for l in words[i + 1 :]:
-                if prior is not None and (k, l) not in prior.unresolved[j]:
-                    if keep_certificates:
-                        inherited = prior.certificates.get((j, k, l))
-                        if inherited is not None:
-                            graph.certificates[(j, k, l)] = inherited
-                    continue
+        for i, (k, l) in enumerate(pairs):
+            if prior is not None and (k, l) not in prior.unresolved[j]:
+                inherited = prior.certificates.get((j, k, l))
+                certs.append(inherited)
+                if keep_certificates and inherited is not None:
+                    graph.certificates[(j, k, l)] = inherited
+                continue
+            cert = None
+            if mirrored is not None and mirrored[mirror_index[i]] is not None:
+                cert = _mirror_certificate(
+                    mirrored[mirror_index[i]], cell, (k, l), source, slopes, reflected
+                )
+            if cert is None:
                 cert = certify_pair(
                     CertTask(params, q, cell, (k, l), eps, delta, budget), _cache=cache
                 )
-                if keep_certificates:
-                    graph.certificates[(j, k, l)] = cert
-                if not cert.transversal:
-                    cell_pairs.add((k, l))
-                    cell_pairs.add((l, k))
+            certs.append(cert)
+            if keep_certificates:
+                graph.certificates[(j, k, l)] = cert
+            if not cert.transversal:
+                cell_pairs.add((k, l))
+                cell_pairs.add((l, k))
+        if source > j and mirror:
+            sources[j] = certs
     return graph
 
 

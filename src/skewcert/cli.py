@@ -121,6 +121,8 @@ def _certificates_payload(v: Verdict, full_leaves: bool) -> list[dict]:
             for leaf in cert.leaves[:cap]
         ]
         entry["leaves_elided"] = len(cert.leaves) - cap
+        if cert.derived_from is not None:
+            entry["derived_from"] = cert.derived_from
         out.append(entry)
     return out
 
@@ -377,7 +379,7 @@ def cmd_selftest() -> int:
 
     from .interval import Interval, sin2pi
     from .series import Code, adding_machine, eval_S
-    from .certifier import CertTask, certify_pair
+    from .certifier import CertTask, certify_pair, tangency_graph
     from .measures import AtomicMeasure, corr_sq_norm, vertical_scaling_check
     from .sigma import solve_alpha, solve_t
 
@@ -416,6 +418,16 @@ def cmd_selftest() -> int:
 
     cert = certify_pair(CertTask(params, 1, Interval(0.0, 1 / 3), ((0,), (1,)), 1e-3, 1e-3))
     check("transversality certificate on [0, 1/3]", cert.transversal)
+
+    mirror = SystemParams.classical(2, 0.75)
+    graph = tangency_graph(mirror, 1, 3, 1e-2, 1e-2)
+    derived = [key for key, c in graph.certificates.items() if c.derived_from is not None]
+    ok = bool(derived) and all(
+        graph.certificates[(j, k, l)].status
+        == certify_pair(CertTask(mirror, 1, graph.cell_interval(j), (k, l), 1e-2, 1e-2)).status
+        for j, k, l in derived
+    )
+    check("odd-psi mirror: derived cells equal direct", ok)
 
     rng = np.random.default_rng(1)
     locs = np.sort(rng.normal(size=500))

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from skewcert import certifier
 from skewcert.interval import Interval
 from skewcert.series import SystemParams, TrigPoly, tail_value, tail_deriv
 from skewcert.certifier import (
@@ -176,11 +177,119 @@ def test_graph_b2_gamma075_clean_quarters():
         assert g.is_diagonal_only(j), j
 
 
-def test_graph_reflection_symmetry():
-    params = SystemParams.classical(2, 0.75)
-    g = tangency_graph(params, 1, 4, 1e-2, 1e-2, keep_certificates=False)
-    for j in range(16):
-        assert g.unresolved[g.n_cells - 1 - j] == reflected_pairs(g, j)
+def _record_certify_calls(monkeypatch) -> list:
+    """Route certifier.certify_pair through a recorder of its tasks."""
+    calls = []
+
+    def recording(task, _cache=None):
+        calls.append(task)
+        return certify_pair(task, _cache)
+
+    monkeypatch.setattr(certifier, "certify_pair", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "b,gamma,p",
+    [(2, 0.75, 4), (6, 0.6, 2), (3, 0.6, 2)],  # b = 3: odd cell count, self-mirrored middle
+)
+def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
+    # for odd psi only the cells j <= (n-1)/2 are certified; every derived
+    # cell's certificate status must equal that of direct certification
+    params = SystemParams.classical(b, gamma)
+    budget = Budget(max_nodes=1024)
+    calls = _record_certify_calls(monkeypatch)
+    g = tangency_graph(params, 1, p, 1e-2, 1e-2, budget)
+    monkeypatch.undo()
+    n = g.n_cells
+    derived = 0
+    for (j, k, l), cert in g.certificates.items():
+        if j <= (n - 1) // 2:
+            assert cert.derived_from is None
+            continue
+        if cert.derived_from is not None:
+            derived += 1
+            assert cert.derived_from == n - 1 - j
+        cell = g.cell_interval(j)
+        assert (cert.task.cell.lo, cert.task.cell.hi) == (cell.lo, cell.hi)
+        direct = certify_pair(CertTask(params, 1, cell, (k, l), 1e-2, 1e-2, budget))
+        assert cert.status == direct.status, (j, k, l)
+        if cert.transversal:
+            assert min(f.cell_lo for f in cert.leaves) <= cell.lo
+            assert max(f.cell_hi for f in cert.leaves) >= cell.hi
+    assert derived > 0
+    # direct certification covers the cells j <= (n-1)/2 and the fallbacks only
+    assert len(calls) == len(g.certificates) - derived
+    for j in range(n):
+        assert g.unresolved[n - 1 - j] == reflected_pairs(g, j)
+
+
+def test_graph_non_odd_psi_certifies_every_cell(monkeypatch):
+    # a cosine term breaks the odd symmetry: no cell may be mirrored
+    psi = TrigPoly.from_floats(cos=[0.5], sin=[-2 * math.pi])
+    params = SystemParams(2, 0.75, psi)
+    calls = _record_certify_calls(monkeypatch)
+    g = tangency_graph(params, 1, 3, 1e-2, 1e-2)
+    monkeypatch.undo()
+    assert len(calls) == g.n_cells
+    assert all(cert.derived_from is None for cert in g.certificates.values())
+    assert {id(c.task) for c in g.certificates.values()} == {id(t) for t in calls}
+
+
+def _random_derived_transversal_certs(n: int):
+    # transversal mirror-derived certificates of random odd-psi systems
+    rng = np.random.default_rng(2718)
+    out = []
+    for _ in range(60):
+        if len(out) >= n:
+            break
+        b = int(rng.choice([2, 2, 3, 6]))
+        gamma = float(rng.uniform(1.0 / b + 0.05, 0.9))
+        sin = [-2 * math.pi * float(rng.uniform(0.5, 1.5))]
+        if rng.random() < 0.5:
+            sin.append(float(rng.uniform(-2.0, 2.0)))
+        params = SystemParams(b, gamma, TrigPoly.from_floats(sin=sin))
+        q = int(rng.choice([1, 2])) if b == 2 else 1
+        p = {2: 3, 3: 2, 6: 1}[b]
+        eps = float(rng.choice([1e-2, 1e-3]))
+        g = tangency_graph(params, q, p, eps, eps, Budget(max_nodes=500))
+        derived = [
+            c for c in g.certificates.values() if c.derived_from is not None and c.transversal
+        ]
+        for i in rng.permutation(len(derived))[:3]:
+            out.append(derived[i])
+    return out[:n]
+
+
+def test_derived_certificate_soundness_fuzz():
+    certs = _random_derived_transversal_certs(40)
+    assert len(certs) == 40
+    rng = np.random.default_rng(5)
+    bad = 0
+    for cert in certs:
+        task = cert.task
+        params = task.params
+        k, l = task.pair
+        depth = oracle_depth(params, task.eps)
+        bad += count_tangency_samples(
+            params, task.cell.lo, task.cell.hi, k, l, task.eps, task.delta,
+            200, 100, depth, rng,
+        )
+        # each mirrored leaf encloses the sampled differences of its own
+        # (cell, extension) node: value kept, derivative negated
+        for leaf in cert.leaves[:3]:
+            xs = np.linspace(leaf.cell_lo, leaf.cell_hi, 20)
+            tails = rng.integers(0, params.b, size=(2, 30, depth))
+            vu, du = s_batch(params, xs, np.hstack([np.tile(k + leaf.ext_a, (30, 1)), tails[0]]))
+            vv, dv = s_batch(params, xs, np.hstack([np.tile(l + leaf.ext_b, (30, 1)), tails[1]]))
+            n = len(k) + len(leaf.ext_a) + depth
+            tol_v = 2 * tail_value(params, n) + 1e-12
+            tol_d = 2 * tail_deriv(params, n) + 1e-12
+            assert leaf.val_lo - tol_v <= (vu - vv).min() and (vu - vv).max() <= leaf.val_hi + tol_v
+            if leaf.margin == "deriv":
+                assert leaf.der_lo - tol_d <= (du - dv).min()
+                assert (du - dv).max() <= leaf.der_hi + tol_d
+    assert bad == 0
 
 
 def test_e_upper_examples():

@@ -51,6 +51,26 @@ def test_certificates_hex_roundtrip(tmp_path: Path):
     assert seen_leaf
 
 
+def test_certificates_mark_derived_cells(tmp_path: Path):
+    # classical psi is odd: the cells j >= 4 of 8 are mirror images of cell 7 - j
+    rc = run_cli(
+        ["certify", "--b", "2", "--gamma", "0.75", "--qmax", "1", "--grid-p", "3",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    certs = json.loads((tmp_path / "certificates.json").read_text())["certificates"]
+    status = {(c["cell_index"], tuple(map(tuple, c["pair"]))): c["status"] for c in certs}
+    derived = [c for c in certs if "derived_from" in c]
+    assert {c["cell_index"] for c in derived} == {4, 5, 6, 7}
+    for c in certs:
+        if c["cell_index"] < 4:
+            assert "derived_from" not in c
+    for c in derived:
+        assert c["derived_from"] == 7 - c["cell_index"]
+        k, l = (tuple(1 - d for d in w) for w in c["pair"])
+        assert status[(c["derived_from"], (l, k))] == c["status"]
+
+
 def test_certify_inconclusive_exit_code(tmp_path: Path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"b": 2, "gamma": 0.6, "psi": "zero", "qmax": 1, "grid_p": 2}))
