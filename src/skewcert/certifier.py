@@ -16,8 +16,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from .interval import Interval, sin2pi
+from .interval import TWO_PI, Interval, cos2pi, sin2pi
 from .series import (
+    Chain,
     Code,
     SystemParams,
     Word,
@@ -84,15 +85,8 @@ class Certificate:
         return self.status == "transversal"
 
 
-class _Chain:
-    """Prefix sums for one word over one x-set, extended digit by digit."""
-
-    __slots__ = ("p", "dp", "z")
-
-    def __init__(self, p: Interval, dp: Interval, z: Interval):
-        self.p = p
-        self.dp = dp
-        self.z = z
+# a cell's chain cache stops taking entries at this size
+_CACHE_CAP = 400000
 
 
 def _build_chain(
@@ -100,92 +94,46 @@ def _build_chain(
     x: Interval,
     digits: Word,
     cache: dict | None = None,
-) -> _Chain:
+) -> Chain:
     """Chain over x for the digit string, memoized on (x, digits).
 
     `tangency_graph` gives each cell a fresh cache for the length of one
     call, so it pays off where identical chains recur within that cell:
     across its pairs (shared base words) and across bisection rebuilds.
-    Nothing carries over between cells, calls or rungs.
+    Nothing carries over between cells, calls or rungs.  `certify_pair`
+    adds the chains it grows one digit at a time to the same cache; they
+    have the same bits as a walk from the root.
     """
-    if cache is not None:
-        key = (x.lo, x.hi, digits)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    psi = params.psi
-    dpsi = params.dpsi
-    b = params.b
-    gamma_iv = params.gamma_iv
-    step = gamma_iv.scale_div(b)
-    p = Interval.point(0.0)
-    dp = Interval.point(0.0)
-    g = Interval.point(1.0)
-    h = Interval.point(1.0).scale_div(b)
-    z = x
-    for d in digits:
-        z = z.shift(float(d)).scale_div(b)
-        p = p + g * psi.eval_iv(z)
-        dp = dp + h * dpsi.eval_iv(z)
-        g = g * gamma_iv
-        h = h * step
-    out = _Chain(p, dp, z)
-    if cache is not None and len(cache) < 400000:
-        cache[key] = out
-    return out
-
-
-_LADDER_CACHE: dict = {}
-
-
-def _params_key(params: SystemParams) -> tuple:
-    return (params.b, params.gamma, params.psi.key())
-
-
-def _pow_ladder(params: SystemParams, q: int, d_max: int):
-    """gamma^n and gamma^n b^-(n+1) enclosures plus pair tail radii, n = q..q+d_max."""
-    key = (_params_key(params), q, d_max)
-    hit = _LADDER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    gamma_iv = params.gamma_iv
-    step = gamma_iv.scale_div(params.b)
-    gpows = []
-    hpows = []
-    tv2 = []
-    td2 = []
-    g = gamma_iv.pow_int(q)
-    h = gamma_iv.pow_int(q) / params.b_iv.pow_int(q + 1)
-    for n in range(q, q + d_max + 1):
-        gpows.append(g)
-        hpows.append(h)
-        tv2.append(2.0 * tail_value(params, n))
-        td2.append(2.0 * tail_deriv(params, n))
-        g = g * gamma_iv
-        h = h * step
-    out = (gpows, hpows, tv2, td2)
-    if len(_LADDER_CACHE) > 256:
-        _LADDER_CACHE.clear()
-    _LADDER_CACHE[key] = out
-    return out
-
-
-_M2_CACHE: dict = {}
+    if cache is None:
+        return Chain.root(x).walk(params, digits)
+    key = (x.lo, x.hi, digits)
+    chain = cache.get(key)
+    if chain is None:
+        chain = Chain.root(x).walk(params, digits)
+        if len(cache) < _CACHE_CAP:
+            cache[key] = chain
+    return chain
 
 
 def _second_deriv_pair_bound(params: SystemParams) -> float:
     """Upper bound for |d^2/dx^2 (prefix difference)|: 2 ddpsi_sup / (b^2 - gamma)."""
-    key = _params_key(params)
-    hit = _M2_CACHE.get(key)
-    if hit is not None:
-        return hit
     ddpsi_sup = params.dpsi.derivative().sup_bound()
     b2 = params.b_iv * params.b_iv
-    out = (Interval.point(2.0 * ddpsi_sup) / (b2 - params.gamma_iv)).hi
-    if len(_M2_CACHE) > 256:
-        _M2_CACHE.clear()
-    _M2_CACHE[key] = out
-    return out
+    return (Interval.point(2.0 * ddpsi_sup) / (b2 - params.gamma_iv)).hi
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_bounds(
+    params: SystemParams, q: int, d_max: int
+) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """Pair tail radii 2 tail_value(n) and 2 tail_deriv(n), n = q..q+d_max,
+    and `_second_deriv_pair_bound`."""
+    ns = range(q, q + d_max + 1)
+    return (
+        tuple(2.0 * tail_value(params, n) for n in ns),
+        tuple(2.0 * tail_deriv(params, n) for n in ns),
+        _second_deriv_pair_bound(params),
+    )
 
 
 def pair_diff_enclosure(
@@ -227,10 +175,7 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
         return Certificate("unresolved", [], 0, task, reason="diagonal")
     b = params.b
     budget = task.budget
-    gpows, hpows, tv2, td2 = _pow_ladder(params, task.q, budget.d_max)
-    m2 = _second_deriv_pair_bound(params)
-    psi = params.psi
-    dpsi = params.dpsi
+    tv2, td2, m2 = _pair_bounds(params, task.q, budget.d_max)
     eps = task.eps
     delta = task.delta
 
@@ -249,6 +194,18 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
             _build_chain(params, mid, k + ea, _cache),
             _build_chain(params, mid, l + eb, _cache),
         )
+
+    def children(chain: Chain, xlo: float, xhi: float, base: Word) -> list[Chain]:
+        out = []
+        for dig in range(b):
+            key = (xlo, xhi, base + (dig,))
+            ch = _cache.get(key) if _cache is not None else None
+            if ch is None:
+                ch = chain.step(params, dig)
+                if _cache is not None and len(_cache) < _CACHE_CAP:
+                    _cache[key] = ch
+            out.append(ch)
+        return out
 
     leaves: list[Leaf] = []
     nodes = 0
@@ -296,26 +253,6 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
                     "unresolved", leaves, nodes, task, reason="depth budget"
                 )
         if extend:
-            g = gpows[d]
-            h = hpows[d]
-
-            def children(chain: _Chain, xlo: float, xhi: float, base: Word) -> list[_Chain]:
-                out = []
-                for dig in range(b):
-                    key = (xlo, xhi, base + (dig,))
-                    ch = _cache.get(key) if _cache is not None else None
-                    if ch is None:
-                        z = chain.z.shift(float(dig)).scale_div(b)
-                        ch = _Chain(
-                            chain.p + g * psi.eval_iv(z),
-                            chain.dp + h * dpsi.eval_iv(z),
-                            z,
-                        )
-                        if _cache is not None and len(_cache) < 400000:
-                            _cache[key] = ch
-                    out.append(ch)
-                return out
-
             ext_ca = children(ca, cell.lo, cell.hi, k + ea)
             ext_cb = children(cb, cell.lo, cell.hi, l + eb)
             ext_ma = children(ma, xm, xm, k + ea)
@@ -571,7 +508,12 @@ def e_upper(graph: PairGraph) -> tuple[list[int], int]:
 def delta_max(
     b: int, gamma: float, tol: float = 1e-9, max_rounds: int = 200
 ) -> Interval:
-    """Rigorous enclosure of max_t (sin(b t) + gamma sin t) over one period."""
+    """Rigorous enclosure of max_t (sin(b t) + gamma sin t) over one period.
+
+    Branch and bound in turns s = t / (2 pi): a cell stays while its upper
+    bound, the smaller of the natural extension and the mean-value form
+    f(m) + f'(cell)(cell - m), exceeds the best value found at a midpoint.
+    """
     if not (isinstance(b, int) and b >= 1):
         raise ValueError("b must be a positive integer")
     if not 0.0 <= gamma < 1.0:
@@ -581,6 +523,9 @@ def delta_max(
     def f(s: Interval) -> Interval:
         return sin2pi(s.scale(float(b))) + g * sin2pi(s)
 
+    def df(s: Interval) -> Interval:
+        return TWO_PI * (cos2pi(s.scale(float(b))).scale(float(b)) + g * cos2pi(s))
+
     active = [Interval(0.0, 1.0)]
     best_lo = -math.inf
     upper = math.inf
@@ -588,8 +533,10 @@ def delta_max(
         evals = []
         for cell in active:
             m = Interval.point(cell.mid())
-            best_lo = max(best_lo, f(m).lo)
-            evals.append((cell, f(cell).hi))
+            fm = f(m)
+            best_lo = max(best_lo, fm.lo)
+            mean_value = fm + df(cell) * (cell - m)
+            evals.append((cell, min(f(cell).hi, mean_value.hi)))
         upper = max((hi for _, hi in evals), default=best_lo)
         if upper - best_lo <= tol:
             break

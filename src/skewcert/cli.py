@@ -70,6 +70,18 @@ def _make_params(cfg: dict) -> SystemParams:
     return SystemParams(b=cfg["b"], gamma=cfg["gamma"], psi=psi)
 
 
+def _certify(cfg: dict, keep_graphs: bool = False) -> Verdict:
+    """`certify_main` on the system, ladder and budget of a certify or sweep config."""
+    return certify_main(
+        _make_params(cfg),
+        q_max=cfg.get("qmax", 3),
+        grid_p=cfg.get("grid_p"),
+        ladder=tuple(cfg.get("eps_ladder", DEFAULT_LADDER)),
+        budget=_budget_from(cfg),
+        keep_graphs=keep_graphs,
+    )
+
+
 def _budget_from(cfg: dict) -> Budget:
     base = Budget()
     return Budget(
@@ -133,15 +145,7 @@ def _certificates_payload(v: Verdict, full_leaves: bool) -> list[dict]:
 
 def cmd_certify(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    params = _make_params(cfg)
-    v = certify_main(
-        params,
-        q_max=cfg.get("qmax", 3),
-        grid_p=cfg.get("grid_p"),
-        ladder=tuple(cfg.get("eps_ladder", DEFAULT_LADDER)),
-        budget=_budget_from(cfg),
-        keep_graphs=True,
-    )
+    v = _certify(cfg, keep_graphs=True)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -171,13 +175,7 @@ def _sweep_worker(job: tuple) -> dict:
     gamma = job[1]
     cfg = dict(cfg, gamma=gamma)
     try:
-        v = certify_main(
-            _make_params(cfg),
-            q_max=cfg.get("qmax", 3),
-            grid_p=cfg.get("grid_p"),
-            ladder=tuple(cfg.get("eps_ladder", DEFAULT_LADDER)),
-            budget=_budget_from(cfg),
-        )
+        v = _certify(cfg)
     except Exception as exc:
         traceback.print_exc()
         row = dict.fromkeys(("q", "scheme", "bound", "target", "eps", "e_global"))
@@ -551,7 +549,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             if getattr(args, "lam", None) is not None:
                 cfg["gamma"] = 1.0 / (args.lam * cfg["b"])
-            _validate_system(cfg)
             return cmd_certify(cfg, out)
         if args.command == "sweep":
             cfg = _merge_config(
@@ -588,7 +585,6 @@ def main(argv: list[str] | None = None) -> int:
                     "local_dim_exponents",
                 ],
             )
-            _validate_system(cfg)
             return cmd_measure(cfg, out)
         if args.command == "boxdim":
             cfg = _merge_config(
@@ -601,17 +597,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
-
-
-def _validate_system(cfg: dict) -> None:
-    if "b" not in cfg or "gamma" not in cfg:
-        raise KeyError("config needs b and gamma")
-    b = cfg["b"]
-    gamma = cfg["gamma"]
-    if not (isinstance(b, int) and b >= 2):
-        raise ValueError(f"b must be an integer >= 2, got {b!r}")
-    if not 1.0 / b < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (1/b, 1), got {gamma!r}")
 
 
 if __name__ == "__main__":

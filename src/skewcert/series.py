@@ -192,6 +192,8 @@ class SystemParams:
         object.__setattr__(self, "dpsi", self.psi.derivative())
         object.__setattr__(self, "psi_sup", self.psi.sup_bound())
         object.__setattr__(self, "dpsi_sup", self.dpsi.sup_bound())
+        one = Interval.point(1.0)
+        object.__setattr__(self, "_ladder", ((one, one.scale_div(self.b)),))
 
     @property
     def lam(self) -> float:
@@ -224,6 +226,26 @@ class SystemParams:
             iv = Interval.point(float(self.b))
             object.__setattr__(self, "_b_iv", iv)
         return iv
+
+    def powers(self, n: int) -> tuple[Interval, Interval]:
+        """Enclosures of gamma^n and gamma^n b^-(n+1), the weights of the
+        n-th terms of S and S'.
+
+        The ladder is built by repeated multiplication from n = 0 and
+        cached, so every prefix sum of every length uses the same bits.  It
+        grows by replacement, never in place, so concurrent readers always
+        see a complete ladder.
+        """
+        ladder = self._ladder
+        if n >= len(ladder):
+            grown = list(ladder)
+            step = self.gamma_iv.scale_div(self.b)
+            while len(grown) <= n:
+                g, h = grown[-1]
+                grown.append((g * self.gamma_iv, h * step))
+            ladder = tuple(grown)
+            object.__setattr__(self, "_ladder", ladder)
+        return ladder[n]
 
     def default_depth(self, tol: float = 1e-12, cap: int = 5000) -> int:
         """Smallest N with value-tail radius below tol (capped)."""
@@ -334,38 +356,67 @@ def tail_g(params: SystemParams, n: int) -> float:
 # series evaluation
 
 
+def _x_step(z: Interval, d: int, b: int) -> Interval:
+    """Enclosure of (z + d) / b, the inverse branch of x -> b x mod 1 for digit d."""
+    return z.shift(float(d)).scale_div(b)
+
+
+class Chain:
+    """Prefix sums of S and S' for one digit word w over one x-set X.
+
+    With z_0 = X and z_(n+1) = (z_n + w_(n+1)) / b, a chain of length N
+    holds enclosures of p = sum_(n<N) gamma^n psi(z_(n+1)) and
+    dp = sum_(n<N) gamma^n b^-(n+1) psi'(z_(n+1)), and z = z_N = x(w).
+    Every chain grows by `step` on the weights of `SystemParams.powers`,
+    so equal (X, w) give equal bits however the chain was built.
+    """
+
+    __slots__ = ("p", "dp", "z", "n")
+
+    def __init__(self, p: Interval, dp: Interval, z: Interval, n: int):
+        self.p = p
+        self.dp = dp
+        self.z = z
+        self.n = n
+
+    @staticmethod
+    def root(x: Interval) -> "Chain":
+        """The chain of the empty word over x."""
+        zero = Interval.point(0.0)
+        return Chain(zero, zero, x, 0)
+
+    def step(self, params: SystemParams, d: int) -> "Chain":
+        """The chain of this word followed by digit d."""
+        g, h = params.powers(self.n)
+        z = _x_step(self.z, d, params.b)
+        return Chain(
+            self.p + g * params.psi.eval_iv(z),
+            self.dp + h * params.dpsi.eval_iv(z),
+            z,
+            self.n + 1,
+        )
+
+    def walk(self, params: SystemParams, digits: Sequence[int]) -> "Chain":
+        """The chain of this word followed by `digits`, one step per digit."""
+        chain = self
+        for d in digits:
+            chain = chain.step(params, d)
+        return chain
+
+
 def x_of_word(params: SystemParams, x: Interval, w: Sequence[int]) -> Interval:
     """Enclosure of (x + u_1 + u_2 b + ... + u_q b^(q-1)) / b^q."""
-    w = check_word(params.b, w)
-    z = x
-    for d in w:
-        z = z.shift(float(d)).scale_div(params.b)
-    return z
+    return Chain.root(x).walk(params, check_word(params.b, w)).z
 
 
 def eval_S(params: SystemParams, x: Interval, code: Code) -> Interval:
     """Enclosure of S(x, i) for every infinite continuation i of the prefix."""
-    acc = Interval.point(0.0)
-    g = Interval.point(1.0)
-    z = x
-    for d in code.prefix:
-        z = z.shift(float(d)).scale_div(params.b)
-        acc = acc + g * params.psi.eval_iv(z)
-        g = g * params.gamma_iv
-    return acc.widen(code.tail_val)
+    return Chain.root(x).walk(params, code.prefix).p.widen(code.tail_val)
 
 
 def eval_S_prime(params: SystemParams, x: Interval, code: Code) -> Interval:
     """Enclosure of S'(x, i) (the x-derivative) over all continuations."""
-    acc = Interval.point(0.0)
-    h = Interval.point(1.0).scale_div(params.b)  # gamma^(n-1) b^(-n), n = 1
-    step = params.gamma_iv.scale_div(params.b)
-    z = x
-    for d in code.prefix:
-        z = z.shift(float(d)).scale_div(params.b)
-        acc = acc + h * params.dpsi.eval_iv(z)
-        h = h * step
-    return acc.widen(code.tail_der)
+    return Chain.root(x).walk(params, code.prefix).dp.widen(code.tail_der)
 
 
 def split_self_similar(
@@ -376,20 +427,8 @@ def split_self_similar(
     S(x, w.u)  = P_w(x)  + gamma^|w|     * S(x(w), u)
     S'(x, w.u) = P'_w(x) + (gamma/b)^|w| * S'(x(w), u)
     """
-    w = check_word(params.b, w)
-    p = Interval.point(0.0)
-    dp = Interval.point(0.0)
-    g = Interval.point(1.0)
-    h = Interval.point(1.0).scale_div(params.b)
-    step = params.gamma_iv.scale_div(params.b)
-    z = x
-    for d in w:
-        z = z.shift(float(d)).scale_div(params.b)
-        p = p + g * params.psi.eval_iv(z)
-        dp = dp + h * params.dpsi.eval_iv(z)
-        g = g * params.gamma_iv
-        h = h * step
-    return p, dp
+    chain = Chain.root(x).walk(params, check_word(params.b, w))
+    return chain.p, chain.dp
 
 
 def eval_G(params: SystemParams, x: Interval, code: Code) -> Interval:
@@ -398,7 +437,7 @@ def eval_G(params: SystemParams, x: Interval, code: Code) -> Interval:
     w = Interval.point(1.0)
     z = x
     for d in code.prefix:
-        z = z.shift(float(d)).scale_div(params.b)
+        z = _x_step(z, d, params.b)
         acc = acc + w * params.dpsi.eval_iv(z)
         w = w.scale_div(params.b)
     return acc.widen(tail_g(params, code.depth))
@@ -418,11 +457,7 @@ def eval_weierstrass(
     for n in range(depth):
         acc = acc + g * phi.eval_iv(x.scale(float(b) ** n))
         g = g * lam_iv
-    phi_sup = phi.sup_bound()
-    tail = (
-        Interval.point(phi_sup) * lam_iv.pow_int(depth) / (Interval.point(1.0) - lam_iv)
-    ).hi
-    return acc.widen(tail)
+    return acc.widen(weierstrass_tail(lam, phi.sup_bound(), depth))
 
 
 def weierstrass_tail(lam: float, phi_sup: float, depth: int) -> float:

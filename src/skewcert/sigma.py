@@ -10,6 +10,7 @@ driver succeeds once some bound beats the absolute-continuity target
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .certifier import Budget, PairGraph, e_upper, tangency_graph
@@ -77,9 +78,12 @@ def _matching_structure(graph: PairGraph, j: int) -> list[tuple[Word, Word]] | N
     return pairs
 
 
-def check_sqrt2(graph: PairGraph) -> SigmaScheme | None:
+def _check_matching(
+    graph: PairGraph, kind: str, bound: float, images: Callable[[tuple[bool, bool]], bool]
+) -> SigmaScheme | None:
     """K = diagonal-only cells; off K the unresolved pairs must form a
-    matching with both image cells inside K."""
+    matching, and `images` (all or any) of each pair's two image cells
+    must lie inside K."""
     k_cells = [j for j in range(graph.n_cells) if graph.is_diagonal_only(j)]
     k_set = set(k_cells)
     designated = {}
@@ -90,31 +94,21 @@ def check_sqrt2(graph: PairGraph) -> SigmaScheme | None:
         if pairs is None or not pairs:
             return None
         for k, l in pairs:
-            if graph.image_cell(j, k) not in k_set or graph.image_cell(j, l) not in k_set:
+            if not images((graph.image_cell(j, k) in k_set, graph.image_cell(j, l) in k_set)):
                 return None
         designated[j] = pairs
-    return SigmaScheme("sqrt2", SQRT2, {"K": k_cells}, designated)
+    return SigmaScheme(kind, bound, {"K": k_cells}, designated)
+
+
+def check_sqrt2(graph: PairGraph) -> SigmaScheme | None:
+    """K = diagonal-only cells; off K the unresolved pairs must form a
+    matching with both image cells inside K."""
+    return _check_matching(graph, "sqrt2", SQRT2, all)
 
 
 def check_golden(graph: PairGraph) -> SigmaScheme | None:
     """Like sqrt2 but only one of the two image cells must lie in K."""
-    k_cells = [j for j in range(graph.n_cells) if graph.is_diagonal_only(j)]
-    k_set = set(k_cells)
-    designated = {}
-    for j in range(graph.n_cells):
-        if j in k_set:
-            continue
-        pairs = _matching_structure(graph, j)
-        if pairs is None or not pairs:
-            return None
-        for k, l in pairs:
-            if (
-                graph.image_cell(j, k) not in k_set
-                and graph.image_cell(j, l) not in k_set
-            ):
-                return None
-        designated[j] = pairs
-    return SigmaScheme("golden", GOLDEN, {"K": k_cells}, designated)
+    return _check_matching(graph, "golden", GOLDEN, any)
 
 
 def check_three_tier(graph: PairGraph) -> SigmaScheme | None:

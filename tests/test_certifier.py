@@ -333,6 +333,48 @@ def test_image_cell_indexing():
             assert parent == min(int(img * 16), 15)
 
 
+# -- chain cache -----------------------------------------------------------
+
+
+def _chain_bits(chain):
+    return (chain.p.lo, chain.p.hi, chain.dp.lo, chain.dp.hi, chain.z.lo, chain.z.hi)
+
+
+@pytest.mark.parametrize(
+    "b,gamma,j,p,pairs",
+    [
+        (6, 0.6, 0, 2, [((1,), (5,)), ((2,), (4,))]),
+        (2, 0.68, 30, 6, [((0,), (1,))]),
+        (2, 0.98, 0, 6, [((1, 0), (1, 1))]),
+    ],
+)
+def test_chain_cache_matches_fresh_builds(b, gamma, j, p, pairs):
+    # certify_pair grows chains digit by digit into the cell's cache, where
+    # _build_chain also looks them up: every entry must have the bits of a
+    # fresh walk from the root, or the certificate would depend on which
+    # path filled the cache first.  These pairs stay unresolved, so their
+    # search extends digits.
+    params = SystemParams.classical(b, gamma)
+    q = len(pairs[0][0])
+    cell = Interval(j / b**p, (j + 1) / b**p)
+    cache: dict = {}
+    for pair in pairs:
+        task = CertTask(params, q, cell, pair, 1e-3, 1e-3, Budget(max_nodes=300))
+        certify_pair(task, _cache=cache)
+    assert any(len(digits) > q + 1 for _, _, digits in cache)
+    for lo, hi, digits in cache:
+        x = Interval(lo, hi)
+        fresh = certifier._build_chain(params, x, digits)
+        assert _chain_bits(cache[(lo, hi, digits)]) == _chain_bits(fresh)
+        assert certifier._build_chain(params, x, digits, cache) is cache[(lo, hi, digits)]
+    # a miss stores the walk it returns
+    x = Interval(0.5, 0.75)
+    digits = (b - 1,) * (q + 2)
+    built = certifier._build_chain(params, x, digits, cache)
+    assert cache[(x.lo, x.hi, digits)] is built
+    assert _chain_bits(built) == _chain_bits(certifier._build_chain(params, x, digits))
+
+
 # -- closed-form pruning quantities ---------------------------------------
 
 
@@ -351,7 +393,7 @@ def test_delta_max_proven_bounds():
 
 def test_delta_max_enclosure_brackets_samples():
     # dense sampling gives a lower bound the enclosure must respect
-    for b, gamma in ((3, 0.5), (6, 0.9), (2, 0.25)):
+    for b, gamma in ((3, 0.5), (3, 0.9), (6, 0.9), (2, 0.25)):
         dm = delta_max(b, gamma)
         t = np.linspace(0, 2 * math.pi, 200001)
         best = float(np.max(np.sin(b * t) + gamma * np.sin(t)))

@@ -6,6 +6,7 @@ import pytest
 
 from skewcert.interval import Interval
 from skewcert.series import (
+    Chain,
     Code,
     InvalidWordError,
     SystemParams,
@@ -190,6 +191,58 @@ def test_split_q1_check(p27):
     lhs = eval_S(p27, x, Code.make(p27, w + u))
     rhs = p27.psi.eval_iv(xw) + p27.gamma_iv * eval_S(p27, xw, Code.make(p27, u))
     assert lhs.intersects(rhs)
+
+
+def _bits(iv):
+    return (iv.lo, iv.hi)
+
+
+def _chain_bits(chain):
+    return (_bits(chain.p), _bits(chain.dp), _bits(chain.z), chain.n)
+
+
+@pytest.mark.parametrize("b,gamma", [(2, 0.68), (6, 0.6)])
+def test_chain_steps_match_walk(b, gamma):
+    # however a chain is grown, equal (x, word) give equal bits
+    params = SystemParams.classical(b, gamma)
+    rnd = random.Random(b)
+    for x in (Interval(0.25, 0.26), Interval.point(0.37)):
+        w = tuple(rnd.randrange(b) for _ in range(16))
+        whole = Chain.root(x).walk(params, w)
+        chain = Chain.root(x)
+        for d in w:
+            chain = chain.step(params, d)
+        assert _chain_bits(chain) == _chain_bits(whole)
+        for cut in (1, 5, 15):
+            split = Chain.root(x).walk(params, w[:cut]).walk(params, w[cut:])
+            assert _chain_bits(split) == _chain_bits(whole)
+
+
+def test_series_sums_agree_with_chain(p27):
+    # eval_S, eval_S_prime, split_self_similar and x_of_word read one chain;
+    # its bits are those of the term-by-term loop with the power ladder
+    # gamma^n, gamma^n b^-(n+1) built by repeated multiplication
+    rnd = random.Random(31)
+    for _ in range(20):
+        x = Interval.point(rnd.random())
+        w = tuple(rnd.randrange(2) for _ in range(rnd.randrange(0, 20)))
+        chain = Chain.root(x).walk(p27, w)
+        p = dp = Interval.point(0.0)
+        g = Interval.point(1.0)
+        h = Interval.point(1.0).scale_div(2)
+        z = x
+        for d in w:
+            z = z.shift(float(d)).scale_div(2)
+            p = p + g * p27.psi.eval_iv(z)
+            dp = dp + h * p27.dpsi.eval_iv(z)
+            g = g * p27.gamma_iv
+            h = h * p27.gamma_iv.scale_div(2)
+        assert _chain_bits(chain) == (_bits(p), _bits(dp), _bits(z), len(w))
+        code = Code.make(p27, w)
+        assert _bits(eval_S(p27, x, code)) == _bits(p.widen(code.tail_val))
+        assert _bits(eval_S_prime(p27, x, code)) == _bits(dp.widen(code.tail_der))
+        assert tuple(map(_bits, split_self_similar(p27, x, w))) == (_bits(p), _bits(dp))
+        assert _bits(x_of_word(p27, x, w)) == _bits(z)
 
 
 def test_adding_machine_examples():
