@@ -429,7 +429,6 @@ def tangency_graph(
     eps: float,
     delta: float,
     budget: Budget = Budget(),
-    keep_certificates: bool = True,
     prior: PairGraph | None = None,
 ) -> PairGraph:
     """Certify every word pair over every base-b cell at resolution b^p.
@@ -458,40 +457,33 @@ def tangency_graph(
         index = {pair: i for i, pair in enumerate(pairs)}
         mirror_index = [index[(reflected(l), reflected(k))] for k, l in pairs]
         slopes = (2.0 * tail_deriv(params, 0), _second_deriv_pair_bound(params))
-    sources: dict[int, list[Certificate | None]] = {}
     for j in range(n_cells):
         cell = graph.cell_interval(j)
         cell_pairs = graph.unresolved[j]
         for w in words:
             cell_pairs.add((w, w))
         source = n_cells - 1 - j
-        mirrored = sources.pop(source, None)
-        certs: list[Certificate | None] = []
+        derive = mirror and source < j
         cache: dict = {}
         for i, (k, l) in enumerate(pairs):
             if prior is not None and (k, l) not in prior.unresolved[j]:
                 inherited = prior.certificates.get((j, k, l))
-                certs.append(inherited)
-                if keep_certificates and inherited is not None:
+                if inherited is not None:
                     graph.certificates[(j, k, l)] = inherited
                 continue
             cert = None
-            if mirrored is not None and mirrored[mirror_index[i]] is not None:
-                cert = _mirror_certificate(
-                    mirrored[mirror_index[i]], cell, (k, l), source, slopes, reflected
-                )
+            if derive:
+                mirrored = graph.certificates.get((source, *pairs[mirror_index[i]]))
+                if mirrored is not None:
+                    cert = _mirror_certificate(mirrored, cell, (k, l), source, slopes, reflected)
             if cert is None:
                 cert = certify_pair(
                     CertTask(params, q, cell, (k, l), eps, delta, budget), _cache=cache
                 )
-            certs.append(cert)
-            if keep_certificates:
-                graph.certificates[(j, k, l)] = cert
+            graph.certificates[(j, k, l)] = cert
             if not cert.transversal:
                 cell_pairs.add((k, l))
                 cell_pairs.add((l, k))
-        if source > j and mirror:
-            sources[j] = certs
     return graph
 
 

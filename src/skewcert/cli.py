@@ -16,6 +16,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +44,26 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _report(cfg: dict, **body) -> dict:
+    """The schema, tool and config header of every report, followed by `body`."""
+    return {"schema_version": SCHEMA_VERSION, "tool_version": __version__, "config": cfg, **body}
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """`header` line(s), then one line per row of str() cells (a float's round-trip repr)."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str], t0: float) -> None:
     _dump_json(
         out / "manifest.json",
-        {
-            "command": command,
-            "tool_version": __version__,
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-            "artifacts": sorted(artifacts),
-            "timing_s": round(time.perf_counter() - t0, 3),
-        },
+        _report(
+            config,
+            command=command,
+            artifacts=sorted(artifacts),
+            timing_s=round(time.perf_counter() - t0, 3),
+        ),
     )
 
 
@@ -83,12 +93,7 @@ def _certify(cfg: dict, keep_graphs: bool = False) -> Verdict:
 
 
 def _budget_from(cfg: dict) -> Budget:
-    base = Budget()
-    return Budget(
-        d_max=cfg.get("d_max", base.d_max),
-        x_depth_max=cfg.get("x_depth_max", base.x_depth_max),
-        max_nodes=cfg.get("max_nodes", base.max_nodes),
-    )
+    return replace(Budget(), **{f.name: cfg[f.name] for f in fields(Budget) if f.name in cfg})
 
 
 def _verdict_payload(v: Verdict) -> dict:
@@ -146,13 +151,7 @@ def _certificates_payload(v: Verdict, full_leaves: bool) -> list[dict]:
 def cmd_certify(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     v = _certify(cfg, keep_graphs=True)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "config": cfg,
-        "verdict": _verdict_payload(v),
-    }
-    _dump_json(out / "verdict.json", report)
+    _dump_json(out / "verdict.json", _report(cfg, verdict=_verdict_payload(v)))
     _dump_json(out / "certificates.json", {
         "schema_version": SCHEMA_VERSION,
         "certificates": _certificates_payload(v, cfg.get("full_leaves", False)),
@@ -171,9 +170,8 @@ def cmd_certify(cfg: dict, out: Path) -> int:
 def _sweep_worker(job: tuple) -> dict:
     """One sweep row; a gamma whose certification raises gets an error row,
     so the other rows of the sweep are still written."""
-    cfg = json.loads(job[0])
-    gamma = job[1]
-    cfg = dict(cfg, gamma=gamma)
+    cfg_json, gamma = job
+    cfg = dict(json.loads(cfg_json), gamma=gamma)
     try:
         v = _certify(cfg)
     except Exception as exc:
@@ -198,6 +196,8 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     start = cfg["gamma_start"]
     stop = cfg["gamma_stop"]
     step = cfg.get("gamma_step", 0.02)
+    if not (step > 0 and math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("sweep needs finite gamma_start and gamma_stop and gamma_step > 0")
     gammas = []
     k = 0
     while True:
@@ -215,20 +215,16 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]
-    lines = ["gamma,q,scheme,bound,target,success,eps,e_global"]
-    for r in rows:
-        lines.append(
-            f"{r['gamma']!r},{r['q']},{r['scheme']},"
-            f"{r['bound']!r},{r['target']!r},{int(bool(r['success']))},"
-            f"{r['eps']!r},{r['e_global']}"
-        )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    _dump_json(out / "report.json", {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "config": cfg,
-        "rows": rows,
-    })
+    _write_csv(
+        out / "sweep.csv",
+        "gamma,q,scheme,bound,target,success,eps,e_global",
+        (
+            (r["gamma"], r["q"], r["scheme"], r["bound"], r["target"],
+             int(bool(r["success"])), r["eps"], r["e_global"])
+            for r in rows
+        ),
+    )
+    _dump_json(out / "report.json", _report(cfg, rows=rows))
     _write_manifest(out, "sweep", cfg, ["sweep.csv", "report.json"], t0)
     n_ok = sum(1 for r in rows if r["success"])
     print(f"sweep: {n_ok}/{len(rows)} gamma values certified")
@@ -248,11 +244,7 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     n_samples = cfg.get("samples")
     seed = cfg.get("seed", 0)
     artifacts = []
-    report: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "config": cfg,
-    }
+    report = _report(cfg)
 
     mu = sample_mx(params, x, depth, mode=mode, n_samples=n_samples, seed=seed)
     report["atoms"] = {
@@ -269,10 +261,7 @@ def cmd_measure(cfg: dict, out: Path) -> int:
         params, radii, cfg.get("grid", 64), depth, mode=mode, n_samples=n_samples, seed=seed
     )
     ir_rows = [(e.r, e.value, e.truncation_warning) for e in ests]
-    lines = ["r,I_r,truncation_warning"]
-    for r, v, w in ir_rows:
-        lines.append(f"{r!r},{v!r},{int(w)}")
-    (out / "i_r.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "i_r.csv", "r,I_r,truncation_warning", ((r, v, int(w)) for r, v, w in ir_rows))
     artifacts.append("i_r.csv")
     finite = [v for _, v, _ in ir_rows]
     # heuristic boundedness flag: the small-r end of the curve stops growing
@@ -290,10 +279,11 @@ def cmd_measure(cfg: dict, out: Path) -> int:
         ld_radii = [2.0 ** (-k) for k in ld_exps if 2.0 ** (-k) > mu.blur]
         if len(ld_radii) >= 2:
             reg = local_dim_regress(mu, ld_radii, cfg.get("centers", 100), seed=seed)
-            lines = ["radius,mean_log_mass"]
-            for r, lm in zip(reg.radii, reg.log_means):
-                lines.append(f"{float(r)!r},{float(lm)!r}")
-            (out / "local_dim.csv").write_text("\n".join(lines) + "\n")
+            _write_csv(
+                out / "local_dim.csv",
+                "radius,mean_log_mass",
+                ((float(r), float(lm)) for r, lm in zip(reg.radii, reg.log_means)),
+            )
             artifacts.append("local_dim.csv")
             report["local_dim"] = {
                 "slope": reg.slope,
@@ -317,10 +307,9 @@ def cmd_measure(cfg: dict, out: Path) -> int:
             f"rng={hist.rng_kind} points={hist.n_points} iters={hist.n_iter} "
             f"burn_in={hist.burn_in}\n"
             f"# rows: x bins {float(hist.x_edges[0])!r}..{float(hist.x_edges[-1])!r}; "
-            f"cols: y bins {float(hist.y_edges[0])!r}..{float(hist.y_edges[-1])!r}\n"
+            f"cols: y bins {float(hist.y_edges[0])!r}..{float(hist.y_edges[-1])!r}"
         )
-        body = "\n".join(",".join(str(int(c)) for c in row) for row in hist.counts)
-        (out / "srb_histogram.csv").write_text(hdr + body + "\n")
+        _write_csv(out / "srb_histogram.csv", hdr, hist.counts.astype(int).tolist())
         artifacts.append("srb_histogram.csv")
         report["srb"] = {"seed": seed, "rng": hist.rng_kind, "total": int(hist.counts.sum())}
 
@@ -340,22 +329,21 @@ def cmd_boxdim(cfg: dict, out: Path) -> int:
     exps = cfg.get("scale_exponents", list(range(4, 15)))
     sample = sample_graph(lam, b, m, depth=cfg.get("depth"))
     res = box_count_dim(sample, exps, drop_edges=cfg.get("drop_edges", 2))
-    lines = ["scale,count,used_in_fit"]
-    for s, c, u in zip(res.scales, res.counts, res.used):
-        lines.append(f"{float(s)!r},{float(c)!r},{int(u)}")
-    (out / "counts.csv").write_text("\n".join(lines) + "\n")
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "config": cfg,
-        "lambda": lam,
-        "b": b,
-        "D_theory": d_theory,
-        "D_hat": res.slope,
-        "CI": [res.ci_low, res.ci_high],
-        "D_hat_all_scales": res.slope_all,
-        "sample": {"m": m, "depth": sample.depth, "tail": sample.tail},
-    }
+    _write_csv(
+        out / "counts.csv",
+        "scale,count,used_in_fit",
+        ((float(s), float(c), int(u)) for s, c, u in zip(res.scales, res.counts, res.used)),
+    )
+    summary = _report(
+        cfg,
+        **{"lambda": lam},
+        b=b,
+        D_theory=d_theory,
+        D_hat=res.slope,
+        CI=[res.ci_low, res.ci_high],
+        D_hat_all_scales=res.slope_all,
+        sample={"m": m, "depth": sample.depth, "tail": sample.tail},
+    )
     artifacts = ["counts.csv", "report.json"]
     if cfg.get("local_dim", False):
         reg = graph_mu_local_dim(
@@ -447,20 +435,27 @@ def cmd_selftest() -> int:
 # ---------------------------------------------------------------------
 # argument plumbing
 
+# namespace entries that steer the run rather than describe it
+_RUN_ONLY = ("command", "config", "out", "threads")
+
 
 def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--config", type=Path, help="JSON config file (flags win)")
     sp.add_argument("--out", type=Path, default=Path("runs/latest"))
+    sp.add_argument("--b", type=int)
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    cfg: dict = {}
-    if getattr(args, "config", None):
-        cfg.update(json.loads(Path(args.config).read_text()))
-    for key in keys:
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The --config file's keys, overridden by every flag given.
+
+    certify's --lam is not echoed: it sets gamma = 1/(lam b) instead.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in _RUN_ONLY}
+    lam = flags.pop("lam") if args.command == "certify" else None
+    cfg: dict = json.loads(args.config.read_text()) if args.config else {}
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
+    if lam is not None:
+        cfg["gamma"] = 1.0 / (lam * cfg["b"])
     return cfg
 
 
@@ -480,24 +475,23 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("certify", help="search for sigma(q) < (gamma b)^q")
-    _add_common(pc)
-    pc.add_argument("--b", type=int)
+    ps = sub.add_parser("sweep", help="certify across a gamma grid in parallel")
+    pm = sub.add_parser("measure", help="fiber-measure statistics and local dimension")
+    pb = sub.add_parser("boxdim", help="box-counting dimension of the graph")
+    for sp in (pc, ps, pm, pb):
+        _add_common(sp)
+    for sp in (pc, ps):
+        sp.add_argument("--qmax", type=int)
+        sp.add_argument("--grid-p", type=int)
+        sp.add_argument("--max-nodes", type=int)
+
     pc.add_argument("--gamma", type=float)
     pc.add_argument("--lam", type=float, help="alternative to --gamma (gamma = 1/(lam b))")
-    pc.add_argument("--qmax", type=int)
-    pc.add_argument("--grid-p", dest="grid_p", type=int)
-    pc.add_argument("--max-nodes", dest="max_nodes", type=int)
-    pc.add_argument("--full-leaves", dest="full_leaves", action="store_const", const=True)
+    pc.add_argument("--full-leaves", action="store_const", const=True)
 
-    ps = sub.add_parser("sweep", help="certify across a gamma grid in parallel")
-    _add_common(ps)
-    ps.add_argument("--b", type=int)
-    ps.add_argument("--gamma-start", dest="gamma_start", type=float)
-    ps.add_argument("--gamma-stop", dest="gamma_stop", type=float)
-    ps.add_argument("--gamma-step", dest="gamma_step", type=float)
-    ps.add_argument("--qmax", type=int)
-    ps.add_argument("--grid-p", dest="grid_p", type=int)
-    ps.add_argument("--max-nodes", dest="max_nodes", type=int)
+    ps.add_argument("--gamma-start", type=float)
+    ps.add_argument("--gamma-stop", type=float)
+    ps.add_argument("--gamma-step", type=float)
     ps.add_argument(
         "--threads",
         type=int,
@@ -505,9 +499,6 @@ def main(argv: list[str] | None = None) -> int:
         "number of gamma values and of usable CPUs",
     )
 
-    pm = sub.add_parser("measure", help="fiber-measure statistics and local dimension")
-    _add_common(pm)
-    pm.add_argument("--b", type=int)
     pm.add_argument("--gamma", type=float)
     pm.add_argument("--psi", choices=["classical", "zero"])
     pm.add_argument("--x", type=float)
@@ -517,19 +508,14 @@ def main(argv: list[str] | None = None) -> int:
     pm.add_argument("--grid", type=int)
     pm.add_argument("--seed", type=int)
     pm.add_argument("--srb", action="store_const", const=True)
-    pm.add_argument("--r-exponents", dest="r_exponents", type=_int_list)
-    pm.add_argument(
-        "--local-dim-exponents", dest="local_dim_exponents", type=_int_list
-    )
+    pm.add_argument("--r-exponents", type=_int_list)
+    pm.add_argument("--local-dim-exponents", type=_int_list)
 
-    pb = sub.add_parser("boxdim", help="box-counting dimension of the graph")
-    _add_common(pb)
     pb.add_argument("--lam", type=float)
-    pb.add_argument("--b", type=int)
     pb.add_argument("--m", type=int)
     pb.add_argument("--depth", type=int)
     pb.add_argument("--scales", dest="scale_exponents", type=_int_list)
-    pb.add_argument("--local-dim", dest="local_dim", action="store_const", const=True)
+    pb.add_argument("--local-dim", action="store_const", const=True)
     pb.add_argument("--seed", type=int)
 
     sub.add_parser("selftest", help="quick invariant battery")
@@ -543,60 +529,18 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
+        cfg = _merge_config(args)
         if args.command == "certify":
-            cfg = _merge_config(
-                args, ["b", "gamma", "qmax", "grid_p", "max_nodes", "full_leaves"]
-            )
-            if getattr(args, "lam", None) is not None:
-                cfg["gamma"] = 1.0 / (args.lam * cfg["b"])
             return cmd_certify(cfg, out)
         if args.command == "sweep":
-            cfg = _merge_config(
-                args,
-                [
-                    "b",
-                    "gamma_start",
-                    "gamma_stop",
-                    "gamma_step",
-                    "qmax",
-                    "grid_p",
-                    "max_nodes",
-                ],
-            )
-            if "b" not in cfg or "gamma_start" not in cfg or "gamma_stop" not in cfg:
-                parser.error("sweep needs --b, --gamma-start and --gamma-stop")
             threads = args.threads or int(os.environ.get(THREADS_ENV, "1"))
             return cmd_sweep(cfg, out, threads)
         if args.command == "measure":
-            cfg = _merge_config(
-                args,
-                [
-                    "b",
-                    "gamma",
-                    "psi",
-                    "x",
-                    "depth",
-                    "mode",
-                    "samples",
-                    "grid",
-                    "seed",
-                    "srb",
-                    "r_exponents",
-                    "local_dim_exponents",
-                ],
-            )
             return cmd_measure(cfg, out)
-        if args.command == "boxdim":
-            cfg = _merge_config(
-                args, ["lam", "b", "m", "depth", "scale_exponents", "local_dim", "seed"]
-            )
-            if "lam" not in cfg or "b" not in cfg:
-                parser.error("boxdim needs --lam and --b")
-            return cmd_boxdim(cfg, out)
+        return cmd_boxdim(cfg, out)
     except (ValueError, KeyError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

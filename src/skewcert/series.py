@@ -22,8 +22,6 @@ from .interval import (
     _fast_cos_pair,
     _fast_sin_pair,
     _up,
-    cos2pi,
-    sin2pi,
 )
 
 Word = tuple[int, ...]
@@ -76,18 +74,6 @@ class TrigPoly:
     def __repr__(self) -> str:
         return f"TrigPoly(cos={self.cos_coeffs!r}, sin={self.sin_coeffs!r})"
 
-    def is_zero(self) -> bool:
-        return all(c.mag() == 0.0 for c in self.cos_coeffs) and all(
-            s.mag() == 0.0 for s in self.sin_coeffs
-        )
-
-    def key(self) -> tuple:
-        """Hashable value identity (endpoint pairs of all coefficients)."""
-        return (
-            tuple((c.lo, c.hi) for c in self.cos_coeffs),
-            tuple((s.lo, s.hi) for s in self.sin_coeffs),
-        )
-
     def degree(self) -> int:
         return max(len(self.cos_coeffs), len(self.sin_coeffs))
 
@@ -117,31 +103,30 @@ class TrigPoly:
     def eval_iv(self, x: Interval) -> Interval:
         """Enclosure of psi over x (x in plain units; harmonics in turns).
 
-        Single-harmonic polynomials (the classical family) take a lean
-        path on the padded fast trig kernels; the enclosure is a few
-        1e-15 wider than the corrected kernels would give, immaterial
-        against the margins and tail radii this feeds.
+        Each harmonic takes the padded fast trig kernels; its enclosure is
+        a few 1e-15 wider than the corrected `sin2pi`/`cos2pi` would give,
+        immaterial against the margins and tail radii this feeds.
         """
-        act = self._active
-        if len(act) == 1:
-            k, coeff, is_cos = act[0]
-            xl = _down(x.lo * k)
-            xh = _up(x.hi * k)
-            tl, th = (_fast_cos_pair if is_cos else _fast_sin_pair)(xl, xh)
+        lo = hi = 0.0
+        first = True
+        for k, coeff, is_cos in self._active:
+            tl, th = (_fast_cos_pair if is_cos else _fast_sin_pair)(
+                _down(x.lo * k), _up(x.hi * k)
+            )
             clo = coeff.lo
             chi = coeff.hi
             p1 = clo * tl
             p2 = clo * th
             p3 = chi * tl
             p4 = chi * th
-            return Interval(
-                _down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4))
-            )
-        acc = Interval.point(0.0)
-        for k, coeff, is_cos in act:
-            trig = cos2pi(x.scale(k)) if is_cos else sin2pi(x.scale(k))
-            acc = acc + coeff * trig
-        return acc
+            term_lo = _down(min(p1, p2, p3, p4))
+            term_hi = _up(max(p1, p2, p3, p4))
+            if first:
+                lo, hi, first = term_lo, term_hi, False
+            else:
+                lo = _down(lo + term_lo)
+                hi = _up(hi + term_hi)
+        return Interval(lo, hi)
 
     def eval_np(self, x: np.ndarray) -> np.ndarray:
         """Fast float evaluation (midpoint coefficients, no rigor)."""

@@ -316,14 +316,10 @@ def certify_main(
         target = (params.gamma * params.b) ** q
         prior = None
         for eps in ladder:
-            graph = tangency_graph(
-                params, q, p, eps, eps, probe, keep_certificates=True, prior=prior
-            )
+            graph = tangency_graph(params, q, p, eps, eps, probe, prior=prior)
             bound, scheme = sigma_upper(graph, params, q)
             if bound >= target and probe != budget:
-                graph = tangency_graph(
-                    params, q, p, eps, eps, budget, keep_certificates=True, prior=graph
-                )
+                graph = tangency_graph(params, q, p, eps, eps, budget, prior=graph)
                 bound, scheme = sigma_upper(graph, params, q)
             prior = graph
             _, e_glob = e_upper(graph)

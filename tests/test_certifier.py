@@ -163,7 +163,7 @@ def test_tangency_witness_detection():
 
 def test_graph_zero_psi_everything_unresolved():
     params = SystemParams(2, 0.7, TrigPoly.zero())
-    g = tangency_graph(params, 1, 2, 1e-3, 1e-3, keep_certificates=False)
+    g = tangency_graph(params, 1, 2, 1e-3, 1e-3)
     for j in range(4):
         assert len(g.nontrivial_pairs(j)) == 1  # the single off-diagonal pair
     _, e = e_upper(g)
@@ -172,7 +172,7 @@ def test_graph_zero_psi_everything_unresolved():
 
 def test_graph_b2_gamma075_clean_quarters():
     params = SystemParams.classical(2, 0.75)
-    g = tangency_graph(params, 1, 4, 1e-2, 1e-2, keep_certificates=False)
+    g = tangency_graph(params, 1, 4, 1e-2, 1e-2)
     for j in list(range(0, 4)) + list(range(12, 16)):
         assert g.is_diagonal_only(j), j
 
@@ -294,15 +294,15 @@ def test_derived_certificate_soundness_fuzz():
 
 def test_e_upper_examples():
     params = SystemParams.classical(2, 0.6)
-    g = tangency_graph(params, 1, 3, 1e-2, 1e-2, keep_certificates=False)
+    g = tangency_graph(params, 1, 3, 1e-2, 1e-2)
     per, glob = e_upper(g)
     assert glob == 1 and all(v == 1 for v in per)
 
 
 def test_e_upper_refinement_monotone():
     params = SystemParams.classical(2, 0.75)
-    _, coarse = e_upper(tangency_graph(params, 1, 3, 1e-2, 1e-2, keep_certificates=False))
-    _, fine = e_upper(tangency_graph(params, 1, 5, 1e-2, 1e-2, keep_certificates=False))
+    _, coarse = e_upper(tangency_graph(params, 1, 3, 1e-2, 1e-2))
+    _, fine = e_upper(tangency_graph(params, 1, 5, 1e-2, 1e-2))
     assert fine <= coarse
 
 
@@ -310,7 +310,7 @@ def test_unresolved_cells_satisfy_cos_closeness():
     # wherever a q=1 pair stays unresolved, the first-order cosine test
     # |cos(2pi(x+k)/b) - cos(2pi(x+l)/b)| <= 2 gamma/(b - gamma) + slack holds
     params = SystemParams.classical(2, 0.75)
-    g = tangency_graph(params, 1, 5, 1e-3, 1e-3, keep_certificates=False)
+    g = tangency_graph(params, 1, 5, 1e-3, 1e-3)
     bound = 2 * params.gamma / (params.b - params.gamma)
     eps_slack = 0.3  # finite (eps, delta) and finite cells blur the locus
     for j in range(g.n_cells):
@@ -323,7 +323,7 @@ def test_unresolved_cells_satisfy_cos_closeness():
 
 def test_image_cell_indexing():
     params = SystemParams.classical(2, 0.7)
-    g = tangency_graph(params, 2, 4, 1e-2, 1e-2, keep_certificates=False)
+    g = tangency_graph(params, 2, 4, 1e-2, 1e-2)
     # x(cell_j, w) = (x + w1 + 2 w2)/4 lands in the computed parent cell
     for j in (0, 5, 11,  15):
         for w in all_words(2, 2):
@@ -392,13 +392,20 @@ def test_delta_max_proven_bounds():
 
 
 def test_delta_max_enclosure_brackets_samples():
-    # dense sampling gives a lower bound the enclosure must respect
-    for b, gamma in ((3, 0.5), (3, 0.9), (6, 0.9), (2, 0.25)):
+    # the best of a dense sample, refined to the nearby zero of
+    # f'(t) = b cos bt + gamma cos t by mpmath, is the true maximum the
+    # enclosure must bracket
+    from mpmath import mp
+
+    for b, gamma in ((3, 0.5), (3, 0.9), (6, 0.9), (2, 0.25), (6, 1 / 3)):
         dm = delta_max(b, gamma)
         t = np.linspace(0, 2 * math.pi, 200001)
-        best = float(np.max(np.sin(b * t) + gamma * np.sin(t)))
-        assert dm.hi >= best - 1e-12
-        assert dm.lo <= best + 1e-9
+        t0 = float(t[np.argmax(np.sin(b * t) + gamma * np.sin(t))])
+        with mp.workprec(100):
+            t_star = mp.findroot(lambda s: b * mp.cos(b * s) + gamma * mp.cos(s), t0)
+            top = float(mp.sin(b * t_star) + gamma * mp.sin(t_star))
+        assert dm.hi >= top - 1e-12
+        assert dm.lo <= top + 1e-12
         assert dm.width() < 1e-6
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -259,3 +260,88 @@ def test_sweep_error_row_keeps_other_rows(tmp_path, monkeypatch):
     assert lines[0] == "gamma,q,scheme,bound,target,success,eps,e_global"
     assert len(lines) == 4
     assert lines[2] == "0.4,None,None,None,None,0,None,None"
+
+
+# every flag of a subcommand, with a value; --out and --threads steer the run
+# and are not part of its config
+FLAG_RUNS = {
+    "certify": (
+        ["--b", "6", "--gamma", "0.2", "--qmax", "1", "--grid-p", "1",
+         "--max-nodes", "500", "--full-leaves"],
+        {"b": 6, "gamma": 0.2, "qmax": 1, "grid_p": 1, "max_nodes": 500,
+         "full_leaves": True},
+    ),
+    "sweep": (
+        ["--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.3", "--gamma-step", "0.1",
+         "--qmax", "1", "--grid-p", "1", "--max-nodes", "500", "--threads", "1"],
+        {"b": 6, "gamma_start": 0.3, "gamma_stop": 0.3, "gamma_step": 0.1, "qmax": 1,
+         "grid_p": 1, "max_nodes": 500},
+    ),
+    "measure": (
+        ["--b", "2", "--gamma", "0.7", "--psi", "classical", "--x", "0.3", "--depth", "6",
+         "--mode", "exact", "--samples", "100", "--grid", "4", "--seed", "1", "--srb",
+         "--r-exponents", "4:5", "--local-dim-exponents", "4,5"],
+        {"b": 2, "gamma": 0.7, "psi": "classical", "x": 0.3, "depth": 6, "mode": "exact",
+         "samples": 100, "grid": 4, "seed": 1, "srb": True, "r_exponents": [4, 5],
+         "local_dim_exponents": [4, 5]},
+    ),
+    "boxdim": (
+        ["--lam", "0.7", "--b", "2", "--m", "14", "--depth", "30", "--scales", "3:5",
+         "--local-dim", "--seed", "1"],
+        {"lam": 0.7, "b": 2, "m": 14, "depth": 30, "scale_exponents": [3, 4, 5],
+         "local_dim": True, "seed": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_RUNS))
+def test_every_flag_is_echoed_in_config(tmp_path, monkeypatch, capsys, command):
+    argv, expected = FLAG_RUNS[command]
+    with pytest.raises(SystemExit):
+        run_cli([command, "--help"])
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    given = {a for a in argv if a.startswith("--")}
+    # certify's --lam stands in for --gamma (test_certify_lam_flag_sets_gamma)
+    not_echoed = {"--help", "--config", "--out"} | ({"--lam"} if command == "certify" else set())
+    assert listed - not_echoed == given
+
+    monkeypatch.setattr(cli, "certify_main", _stub_verdict)
+    rc = run_cli([command, *argv, "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"] == expected
+
+
+def test_certify_lam_flag_sets_gamma(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "certify_main", _stub_verdict)
+    rc = run_cli(["certify", "--b", "6", "--lam", "0.5", "--qmax", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    config = json.loads((tmp_path / "verdict.json").read_text())["config"]
+    assert config == {"b": 6, "gamma": 1.0 / 3.0, "qmax": 1}
+
+
+@pytest.mark.parametrize(
+    "argv,missing",
+    [
+        (["sweep", "--gamma-start", "0.3", "--gamma-stop", "0.5"], "'b'"),
+        (["sweep", "--b", "6", "--gamma-stop", "0.5"], "'gamma_start'"),
+        (["boxdim", "--b", "2", "--m", "10"], "'lam'"),
+        (["certify", "--lam", "0.5"], "'b'"),
+    ],
+)
+def test_missing_key_is_invalid_config(tmp_path, capsys, argv, missing):
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"invalid config: {missing}\n"
+
+
+@pytest.mark.parametrize(
+    "start,stop,step",
+    [("0.1", "0.2", "0"), ("0.1", "0.2", "-0.1"), ("0.1", "inf", "0.1"), ("nan", "0.2", "0.1")],
+)
+def test_sweep_rejects_unbounded_grid(tmp_path, start, stop, step):
+    # each of these gamma grids never ends
+    rc = run_cli(
+        ["sweep", "--b", "2", "--gamma-start", start, "--gamma-stop", stop,
+         "--gamma-step", step, "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    assert not (tmp_path / "sweep.csv").exists()

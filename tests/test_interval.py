@@ -1,11 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from skewcert.interval import (
     Interval,
+    _fast_cos_pair,
+    _fast_sin_pair,
     cos2pi,
     cos2pi_point,
     sin2pi,
@@ -152,11 +155,9 @@ def test_trig_containment_fuzz():
         assert -1.0 <= c.lo <= c.hi <= 1.0
 
 
-def _sin2pi_oracle(t: float) -> float:
-    """High-precision sin(2 pi t) with exact quarter-turn special cases."""
-    from fractions import Fraction
-
-    r = Fraction(t) % 1
+def _sin2pi_oracle(t: float, phase: Fraction = Fraction(0)) -> float:
+    """High-precision sin(2 pi (t + phase)) with exact quarter-turn special cases."""
+    r = (Fraction(t) + phase) % 1
     if r * 4 == int(r * 4):  # 0, 1/4, 1/2, 3/4 are exact
         return [0.0, 1.0, 0.0, -1.0][int(r * 4)]
     return float(mp.sin(2 * mp.pi * mpf(r.numerator) / mpf(r.denominator)))
@@ -173,6 +174,27 @@ def test_trig_containment_near_integers():
         s = sin2pi(x)
         ts = _sin2pi_oracle(t)
         assert s.lo <= ts <= s.hi, (t, s, ts)
+
+
+def test_fast_trig_pair_containment():
+    # the padded kernels behind TrigPoly.eval_iv, and so behind every
+    # certificate: mid-range, near-integer (also negative) and huge arguments
+    rnd = random.Random(11)
+    for i in range(20000):
+        kind = i % 3
+        if kind == 0:
+            lo = rnd.uniform(-4, 4)
+        elif kind == 1:
+            lo = rnd.randint(-50, 50) + rnd.choice([1, -1]) * 10 ** rnd.uniform(-20, -12)
+        else:
+            lo = rnd.choice([1, -1]) * 2.0 ** rnd.uniform(0, 49)
+        hi = lo + rnd.choice([0.0, 10 ** rnd.uniform(-17, 0.3)])
+        s_lo, s_hi = _fast_sin_pair(lo, hi)
+        c_lo, c_hi = _fast_cos_pair(lo, hi)
+        assert -1.0 <= s_lo <= s_hi <= 1.0 and -1.0 <= c_lo <= c_hi <= 1.0
+        for t in (lo, hi, rnd.uniform(lo, hi)):
+            assert s_lo <= _sin2pi_oracle(t) <= s_hi, (lo, hi, t)
+            assert c_lo <= _sin2pi_oracle(t, Fraction(1, 4)) <= c_hi, (lo, hi, t)
 
 
 def test_trig_monotone_span_tightness():

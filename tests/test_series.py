@@ -347,6 +347,28 @@ def test_trigpoly_mean_zero_by_construction():
     assert abs(float(np.mean(poly.eval_np(xs)))) < 1e-12
 
 
+def test_trigpoly_eval_iv_contains_several_harmonics():
+    # every harmonic goes through the padded fast kernels; the sum must still
+    # enclose psi and psi' at points of the cell (mpmath reference)
+    from mpmath import mp, mpf
+
+    poly = TrigPoly.from_floats(cos=[0.3, -1.2], sin=[2.0, 0.0, 0.7])
+    rnd = random.Random(9)
+    for f in (poly, poly.derivative()):
+        cos = [c.mid() for c in f.cos_coeffs]
+        sin = [s.mid() for s in f.sin_coeffs]
+        for _ in range(2000):
+            lo = rnd.uniform(-2, 3)
+            x = Interval(lo, lo + 10 ** rnd.uniform(-17, -1))
+            got = f.eval_iv(x)
+            with mp.workprec(120):
+                t = mpf(rnd.uniform(x.lo, x.hi))
+                exact = sum(
+                    c * mp.cos(2 * mp.pi * k * t) for k, c in enumerate(cos, start=1)
+                ) + sum(s * mp.sin(2 * mp.pi * k * t) for k, s in enumerate(sin, start=1))
+            assert got.lo <= exact <= got.hi, (x, t)
+
+
 def test_classical_psi_is_phi_derivative():
     psi = classical_psi()
     xs = np.linspace(0, 1, 101)

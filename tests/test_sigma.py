@@ -145,7 +145,7 @@ def test_trivial_fallback_diagonal_only():
 
 def test_sigma_never_exceeds_e():
     params = SystemParams.classical(2, 0.75)
-    g = tangency_graph(params, 1, 4, 1e-2, 1e-2, keep_certificates=False)
+    g = tangency_graph(params, 1, 4, 1e-2, 1e-2)
     bound, _ = sigma_upper(g, params, 1)
     _, e = e_upper(g)
     assert bound <= e + 1e-12
@@ -197,7 +197,7 @@ def _revalidate(graph: PairGraph, scheme) -> None:
 def test_reported_schemes_revalidate_on_real_graphs():
     for gamma, q in ((0.75, 1), (0.98, 1)):
         params = SystemParams.classical(2, gamma)
-        g = tangency_graph(params, q, 5, 1e-2, 1e-2, keep_certificates=False)
+        g = tangency_graph(params, q, 5, 1e-2, 1e-2)
         _, best = sigma_upper(g, params, q)
         if best.kind in ("sqrt2", "golden", "three_tier"):
             _revalidate(g, best)
