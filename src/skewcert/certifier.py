@@ -73,6 +73,10 @@ class Leaf:
 
 @dataclass
 class Certificate:
+    """Outcome of one (cell, pair) task.  `leaves` is non-empty only when the
+    status is transversal: then it covers the cell times every continuation
+    pair.  An unresolved one claims nothing; it keeps `reason` and `node_count`."""
+
     status: str  # "transversal" | "unresolved"
     leaves: list[Leaf]
     node_count: int
@@ -122,18 +126,24 @@ def _second_deriv_pair_bound(params: SystemParams) -> float:
     return (Interval.point(2.0 * ddpsi_sup) / (b2 - params.gamma_iv)).hi
 
 
-@functools.lru_cache(maxsize=256)
 def _pair_bounds(
     params: SystemParams, q: int, d_max: int
 ) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """Pair tail radii 2 tail_value(n) and 2 tail_deriv(n), n = q..q+d_max,
-    and `_second_deriv_pair_bound`."""
-    ns = range(q, q + d_max + 1)
-    return (
-        tuple(2.0 * tail_value(params, n) for n in ns),
-        tuple(2.0 * tail_deriv(params, n) for n in ns),
-        _second_deriv_pair_bound(params),
-    )
+    and `_second_deriv_pair_bound` (memoized on params: it is frozen)."""
+    memo = getattr(params, "_pair_bounds", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(params, "_pair_bounds", memo)
+    bounds = memo.get((q, d_max))
+    if bounds is None:
+        ns = range(q, q + d_max + 1)
+        bounds = memo[(q, d_max)] = (
+            tuple(2.0 * tail_value(params, n) for n in ns),
+            tuple(2.0 * tail_deriv(params, n) for n in ns),
+            _second_deriv_pair_bound(params),
+        )
+    return bounds
 
 
 def pair_diff_enclosure(
@@ -214,7 +224,7 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
         cell, xm, xdepth, d, ea, eb, ca, cb, ma, mb = stack.pop()
         nodes += 1
         if nodes > budget.max_nodes:
-            return Certificate("unresolved", leaves, nodes, task, reason="node budget")
+            return Certificate("unresolved", [], nodes, task, reason="node budget")
         offs = Interval(
             math.nextafter(cell.lo - xm, -math.inf),
             math.nextafter(cell.hi - xm, math.inf),
@@ -237,9 +247,7 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
         if -eps <= val.lo and val.hi <= eps and -delta <= der.lo and der.hi <= delta:
             # every x and every continuation pair in this node realizes the
             # tangency box: the pair is (eps, delta)-tangent on this cell
-            return Certificate(
-                "unresolved", leaves, nodes, task, reason="tangency witness"
-            )
+            return Certificate("unresolved", [], nodes, task, reason="tangency witness")
         # branch: extend digits while the continuation tail dominates the
         # prefix width, else bisect the cell
         extend = tv2[d] > 0.5 * val_pre.width()
@@ -249,9 +257,7 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
             if d < budget.d_max:
                 extend = True
             else:
-                return Certificate(
-                    "unresolved", leaves, nodes, task, reason="depth budget"
-                )
+                return Certificate("unresolved", [], nodes, task, reason="depth budget")
         if extend:
             ext_ca = children(ca, cell.lo, cell.hi, k + ea)
             ext_cb = children(cb, cell.lo, cell.hi, l + eb)
@@ -363,8 +369,8 @@ def _mirror_certificate(
     boundary of the source cell are stretched to `cell`.  A leaf that grew
     by s is widened by slopes[0] s in value and slopes[1] s in derivative,
     where slopes bounds |D'| and |D''| (D the pair's value difference).
-    Returns None when a widened leaf of a transversal certificate no longer
-    clears its margin; such leaves are dropped from an unresolved one.
+    Returns None when a widened leaf no longer clears its margin.  As in
+    `cert`, the leaves are non-empty only when the status is transversal.
     `reflected` is reflect_word for the base, memoized so that equal
     extension words share one reflected tuple.
     """
@@ -403,9 +409,7 @@ def _mirror_certificate(
                 der_hi = math.nextafter(der_hi + rd, math.inf)
             clears = der_lo > task.delta or der_hi < -task.delta
         if not clears:
-            if cert.transversal:
-                return None
-            continue
+            return None
         leaves.append(
             Leaf(
                 lo,

@@ -28,7 +28,7 @@ from .measures import i_r_table, local_dim_regress, sample_mx, srb_sample
 from .series import SystemParams, TrigPoly, classical_psi
 from .sigma import DEFAULT_LADDER, Verdict, certify_main
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 THREADS_ENV = "SKEWCERT_THREADS"
 
 
@@ -104,7 +104,8 @@ def _verdict_payload(v: Verdict) -> dict:
     return d
 
 
-def _certificates_payload(v: Verdict, full_leaves: bool) -> list[dict]:
+def _certificates_payload(v: Verdict) -> list[dict]:
+    """Every certificate of the deciding rung, with all of its leaves."""
     out = []
     rung = next((r for r in v.rungs if r.graph is not None and r.success), None)
     if rung is None:
@@ -120,24 +121,21 @@ def _certificates_payload(v: Verdict, full_leaves: bool) -> list[dict]:
             "status": cert.status,
             "reason": cert.reason,
             "node_count": cert.node_count,
-            "n_leaves": len(cert.leaves),
             "eps": rung.eps,
             "delta": rung.delta,
+            "leaves": [
+                {
+                    "cell": _hexpair(leaf.cell_lo, leaf.cell_hi),
+                    "ext": [list(leaf.ext_a), list(leaf.ext_b)],
+                    "value": _hexpair(leaf.val_lo, leaf.val_hi),
+                    "deriv": _hexpair(leaf.der_lo, leaf.der_hi)
+                    if not math.isnan(leaf.der_lo)
+                    else None,
+                    "margin": leaf.margin,
+                }
+                for leaf in cert.leaves
+            ],
         }
-        cap = len(cert.leaves) if full_leaves else min(len(cert.leaves), 16)
-        entry["leaves"] = [
-            {
-                "cell": _hexpair(leaf.cell_lo, leaf.cell_hi),
-                "ext": [list(leaf.ext_a), list(leaf.ext_b)],
-                "value": _hexpair(leaf.val_lo, leaf.val_hi),
-                "deriv": _hexpair(leaf.der_lo, leaf.der_hi)
-                if not math.isnan(leaf.der_lo)
-                else None,
-                "margin": leaf.margin,
-            }
-            for leaf in cert.leaves[:cap]
-        ]
-        entry["leaves_elided"] = len(cert.leaves) - cap
         if cert.derived_from is not None:
             entry["derived_from"] = cert.derived_from
         out.append(entry)
@@ -154,7 +152,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
     _dump_json(out / "verdict.json", _report(cfg, verdict=_verdict_payload(v)))
     _dump_json(out / "certificates.json", {
         "schema_version": SCHEMA_VERSION,
-        "certificates": _certificates_payload(v, cfg.get("full_leaves", False)),
+        "certificates": _certificates_payload(v),
     })
     _write_manifest(out, "certify", cfg, ["verdict.json", "certificates.json"], t0)
     if v.success:
@@ -452,7 +450,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """
     flags = {k: v for k, v in vars(args).items() if k not in _RUN_ONLY}
     lam = flags.pop("lam") if args.command == "certify" else None
-    cfg: dict = json.loads(args.config.read_text()) if args.config else {}
+    try:
+        text = args.config.read_text() if args.config else "{}"
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.config}: {exc.strerror}") from exc
+    cfg = json.loads(text)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{args.config} holds no JSON object")
     cfg.update((k, v) for k, v in flags.items() if v is not None)
     if lam is not None:
         cfg["gamma"] = 1.0 / (lam * cfg["b"])
@@ -487,7 +491,6 @@ def main(argv: list[str] | None = None) -> int:
 
     pc.add_argument("--gamma", type=float)
     pc.add_argument("--lam", type=float, help="alternative to --gamma (gamma = 1/(lam b))")
-    pc.add_argument("--full-leaves", action="store_const", const=True)
 
     ps.add_argument("--gamma-start", type=float)
     ps.add_argument("--gamma-stop", type=float)

@@ -335,7 +335,7 @@ def _fast_cos_point(x: float) -> float:
 
 
 def _fast_sin_pair(lo: float, hi: float) -> tuple[float, float]:
-    """Enclosure endpoints of sin(2 pi .) over [lo, hi], padded by 1e-15."""
+    """Enclosure endpoints of sin(2 pi .) over [lo, hi], padded by `_FAST_PAD`."""
     if not hi - lo < 1.0 or lo <= -_TURN_LIMIT or hi >= _TURN_LIMIT:
         return (-1.0, 1.0)
     a = _fast_sin_point(lo)
@@ -375,6 +375,5 @@ def _fast_cos_pair(lo: float, hi: float) -> tuple[float, float]:
     return (a, b)
 
 
-# rigorous enclosures of 2*pi and pi
+# rigorous enclosure of 2*pi
 TWO_PI = Interval(_down(PI2_HI), _up(PI2_HI))
-PI = TWO_PI.scale(0.5)

@@ -188,13 +188,6 @@ class SystemParams:
     def classical(b: int, gamma: float) -> "SystemParams":
         return SystemParams(b=b, gamma=gamma, psi=classical_psi())
 
-    @staticmethod
-    def from_lambda(b: int, lam: float, psi: TrigPoly | None = None) -> "SystemParams":
-        if not 1.0 / b < lam < 1.0:
-            raise ValueError(f"lambda must lie in (1/b, 1), got {lam!r}")
-        gamma = 1.0 / (lam * b)
-        return SystemParams(b=b, gamma=gamma, psi=psi if psi is not None else classical_psi())
-
     # enclosures reused by the series loops (cached: params is frozen)
     @property
     def gamma_iv(self) -> Interval:

@@ -1,12 +1,14 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from skewcert import certifier
 from skewcert.interval import Interval
-from skewcert.series import SystemParams, TrigPoly, tail_value, tail_deriv
+from skewcert.series import SystemParams, TrigPoly, reflect_word, tail_value, tail_deriv
 from skewcert.certifier import (
     Budget,
     CertTask,
@@ -129,8 +131,20 @@ def test_certify_budget_monotonicity(p27):
         CertTask(p27, 1, cell, ((0,), (1,)), 1e-3, 1e-3, Budget(max_nodes=2))
     )
     assert not tiny.transversal and tiny.reason == "node budget"
+    # the search found a leaf before it stopped; an unresolved certificate
+    # keeps none, only why and when it stopped
+    assert tiny.leaves == [] and tiny.node_count == 3
     full = certify_pair(CertTask(p27, 1, cell, ((0,), (1,)), 1e-3, 1e-3))
     assert full.transversal
+
+
+def test_pair_bounds_do_not_keep_params_alive():
+    params = SystemParams.classical(2, 0.7)
+    ref = weakref.ref(params)
+    certify_pair(CertTask(params, 1, Interval(0.0, 1 / 3), ((0,), (1,)), 1e-3, 1e-3))
+    del params
+    gc.collect()
+    assert ref() is None
 
 
 def test_certificate_soundness_sampling(p27):
@@ -202,7 +216,7 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
     g = tangency_graph(params, 1, p, 1e-2, 1e-2, budget)
     monkeypatch.undo()
     n = g.n_cells
-    derived = 0
+    derived = derived_unresolved = 0
     for (j, k, l), cert in g.certificates.items():
         if j <= (n - 1) // 2:
             assert cert.derived_from is None
@@ -210,6 +224,12 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
         if cert.derived_from is not None:
             derived += 1
             assert cert.derived_from == n - 1 - j
+            if not cert.transversal:
+                # no leaves; why and when its source stopped
+                derived_unresolved += 1
+                source = g.certificates[(n - 1 - j, reflect_word(b, l), reflect_word(b, k))]
+                assert cert.leaves == []
+                assert (cert.reason, cert.node_count) == (source.reason, source.node_count)
         cell = g.cell_interval(j)
         assert (cert.task.cell.lo, cert.task.cell.hi) == (cell.lo, cell.hi)
         direct = certify_pair(CertTask(params, 1, cell, (k, l), 1e-2, 1e-2, budget))
@@ -217,7 +237,7 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
         if cert.transversal:
             assert min(f.cell_lo for f in cert.leaves) <= cell.lo
             assert max(f.cell_hi for f in cert.leaves) >= cell.hi
-    assert derived > 0
+    assert derived > 0 and derived_unresolved > 0
     # direct certification covers the cells j <= (n-1)/2 and the fallbacks only
     assert len(calls) == len(g.certificates) - derived
     for j in range(n):

@@ -22,7 +22,7 @@ def test_certify_success_and_artifacts(tmp_path: Path):
     )
     assert rc == 0
     report = json.loads((tmp_path / "verdict.json").read_text())
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert report["verdict"]["success"] is True
     assert report["verdict"]["q"] == 1
     assert report["verdict"]["sigma_bound"] < report["verdict"]["target"]
@@ -30,13 +30,20 @@ def test_certify_success_and_artifacts(tmp_path: Path):
     assert set(manifest["artifacts"]) == {"certificates.json", "verdict.json"}
 
 
-def test_certificates_hex_roundtrip(tmp_path: Path):
+@pytest.fixture(scope="module")
+def b2_certs(tmp_path_factory) -> list[dict]:
+    """certificates.json of `certify --b 2 --gamma 0.75 --qmax 1 --grid-p 3`."""
+    out = tmp_path_factory.mktemp("b2")
     rc = run_cli(
         ["certify", "--b", "2", "--gamma", "0.75", "--qmax", "1", "--grid-p", "3",
-         "--out", str(tmp_path)]
+         "--out", str(out)]
     )
     assert rc == 0
-    certs = json.loads((tmp_path / "certificates.json").read_text())["certificates"]
+    return json.loads((out / "certificates.json").read_text())["certificates"]
+
+
+def test_certificates_hex_roundtrip(b2_certs):
+    certs = b2_certs
     assert certs
     seen_leaf = False
     for c in certs:
@@ -52,14 +59,9 @@ def test_certificates_hex_roundtrip(tmp_path: Path):
     assert seen_leaf
 
 
-def test_certificates_mark_derived_cells(tmp_path: Path):
+def test_certificates_mark_derived_cells(b2_certs):
     # classical psi is odd: the cells j >= 4 of 8 are mirror images of cell 7 - j
-    rc = run_cli(
-        ["certify", "--b", "2", "--gamma", "0.75", "--qmax", "1", "--grid-p", "3",
-         "--out", str(tmp_path)]
-    )
-    assert rc == 0
-    certs = json.loads((tmp_path / "certificates.json").read_text())["certificates"]
+    certs = b2_certs
     status = {(c["cell_index"], tuple(map(tuple, c["pair"]))): c["status"] for c in certs}
     derived = [c for c in certs if "derived_from" in c]
     assert {c["cell_index"] for c in derived} == {4, 5, 6, 7}
@@ -70,6 +72,50 @@ def test_certificates_mark_derived_cells(tmp_path: Path):
         assert c["derived_from"] == 7 - c["cell_index"]
         k, l = (tuple(1 - d for d in w) for w in c["pair"])
         assert status[(c["derived_from"], (l, k))] == c["status"]
+
+
+def _hex(box: dict) -> tuple[float, float]:
+    return float.fromhex(box["lo_hex"]), float.fromhex(box["hi_hex"])
+
+
+def _covers(leaves: list, b: int, lo: float, hi: float, ea=(), eb=()) -> bool:
+    """Whether the (cell_lo, cell_hi, ext_a, ext_b) leaves cover [lo, hi]
+    times every continuation pair of (ea, eb)."""
+    n = len(ea)
+    live = [
+        f for f in leaves
+        if f[0] < hi and f[1] > lo and f[2][:n] == ea[: len(f[2])] and f[3][:n] == eb[: len(f[3])]
+    ]
+    if any(len(f[2]) <= n and f[0] <= lo and f[1] >= hi for f in live):
+        return True
+    cuts = sorted({x for f in live for x in f[:2] if lo < x < hi})
+    if cuts:
+        return all(_covers(live, b, c, d, ea, eb) for c, d in zip([lo, *cuts], [*cuts, hi]))
+    # every live leaf spans [lo, hi] with a longer extension: split the digits
+    return bool(live) and all(
+        _covers(live, b, lo, hi, ea + (i,), eb + (j,)) for i in range(b) for j in range(b)
+    )
+
+
+def test_certificates_hold_complete_proofs_only(b2_certs):
+    # a transversal entry holds every leaf of its cover, each clearing its
+    # margin; an unresolved entry holds none
+    transversal = [c for c in b2_certs if c["status"] == "transversal"]
+    unresolved = [c for c in b2_certs if c["status"] == "unresolved"]
+    assert transversal and unresolved
+    for c in transversal:
+        leaves = [(*_hex(f["cell"]), *(tuple(w) for w in f["ext"])) for f in c["leaves"]]
+        assert _covers(leaves, 2, *_hex(c["cell"])), (c["cell_index"], c["pair"])
+        for leaf in c["leaves"]:
+            if leaf["margin"] == "value":
+                v_lo, v_hi = _hex(leaf["value"])
+                assert v_lo > c["eps"] or v_hi < -c["eps"]
+            else:
+                d_lo, d_hi = _hex(leaf["deriv"])
+                assert d_lo > c["delta"] or d_hi < -c["delta"]
+    for c in unresolved:
+        assert c["leaves"] == []
+        assert c["reason"] and c["node_count"] > 0
 
 
 def test_certify_inconclusive_exit_code(tmp_path: Path):
@@ -267,9 +313,8 @@ def test_sweep_error_row_keeps_other_rows(tmp_path, monkeypatch):
 FLAG_RUNS = {
     "certify": (
         ["--b", "6", "--gamma", "0.2", "--qmax", "1", "--grid-p", "1",
-         "--max-nodes", "500", "--full-leaves"],
-        {"b": 6, "gamma": 0.2, "qmax": 1, "grid_p": 1, "max_nodes": 500,
-         "full_leaves": True},
+         "--max-nodes", "500"],
+        {"b": 6, "gamma": 0.2, "qmax": 1, "grid_p": 1, "max_nodes": 500},
     ),
     "sweep": (
         ["--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.3", "--gamma-step", "0.1",
@@ -331,6 +376,17 @@ def test_certify_lam_flag_sets_gamma(tmp_path, monkeypatch):
 def test_missing_key_is_invalid_config(tmp_path, capsys, argv, missing):
     assert run_cli([*argv, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"invalid config: {missing}\n"
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", None])
+def test_unusable_config_file_is_invalid_config(tmp_path, capsys, content):
+    # a JSON list, or no file at all
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    rc = run_cli(["certify", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("invalid config: ")
 
 
 @pytest.mark.parametrize(
