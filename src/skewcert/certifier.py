@@ -98,23 +98,30 @@ def _build_chain(
     x: Interval,
     digits: Word,
     cache: dict | None = None,
+    value: bool = True,
+    base: Chain | None = None,
 ) -> Chain:
     """Chain over x for the digit string, memoized on (x, digits).
 
+    A miss walks from `base`, a chain over x of a prefix of the digits,
+    or from the root; both give the bits of a walk from the root.  With
+    `value` false a root is slope-only (`Chain.root`).
+
     `tangency_graph` gives each cell a fresh cache for the length of one
     call, so it pays off where identical chains recur within that cell:
-    across its pairs (shared base words) and across bisection rebuilds.
-    Nothing carries over between cells, calls or rungs.  `certify_pair`
-    adds the chains it grows one digit at a time to the same cache; they
-    have the same bits as a walk from the root.
+    across its pairs (which share their words k and l), across bisection rebuilds and
+    across the b^2 children of one digit extension, which step the same b
+    chains.  Nothing carries over between cells, calls or rungs.
+    `certify_pair` builds a node's chains here when it pops the node,
+    slope-only over the cell and full at the midpoint.
     """
-    if cache is None:
-        return Chain.root(x).walk(params, digits)
     key = (x.lo, x.hi, digits)
-    chain = cache.get(key)
+    chain = cache.get(key) if cache is not None else None
     if chain is None:
-        chain = Chain.root(x).walk(params, digits)
-        if len(cache) < _CACHE_CAP:
+        if base is None:
+            base = Chain.root(x, value)
+        chain = base.walk(params, digits[base.n :])
+        if cache is not None and len(cache) < _CACHE_CAP:
             cache[key] = chain
     return chain
 
@@ -177,7 +184,11 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
     Each node carries interval prefix chains over its cell *and* thin chains
     at the cell midpoint; the value difference is enclosed with the
     mean-value form D(m) + D'(cell)(x - m), which captures the cancellation
-    of the x-dependence that a term-by-term enclosure loses.
+    of the x-dependence that a term-by-term enclosure loses.  The cell
+    chains are slope-only (no value sum): that form reads the value
+    difference only at the midpoint.  A node builds its chains when it is
+    popped, from its parent's chains after a digit extension and from the
+    root after a bisection, so nodes left on the stack cost nothing.
     """
     params = task.params
     k, l = task.pair
@@ -188,43 +199,27 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
     tv2, td2, m2 = _pair_bounds(params, task.q, budget.d_max)
     eps = task.eps
     delta = task.delta
-
-    def fresh(cell: Interval, xdepth: int, d: int, ea: Word, eb: Word):
-        xm = cell.mid()
-        mid = Interval.point(xm)
-        return (
-            cell,
-            xm,
-            xdepth,
-            d,
-            ea,
-            eb,
-            _build_chain(params, cell, k + ea, _cache),
-            _build_chain(params, cell, l + eb, _cache),
-            _build_chain(params, mid, k + ea, _cache),
-            _build_chain(params, mid, l + eb, _cache),
-        )
-
-    def children(chain: Chain, xlo: float, xhi: float, base: Word) -> list[Chain]:
-        out = []
-        for dig in range(b):
-            key = (xlo, xhi, base + (dig,))
-            ch = _cache.get(key) if _cache is not None else None
-            if ch is None:
-                ch = chain.step(params, dig)
-                if _cache is not None and len(_cache) < _CACHE_CAP:
-                    _cache[key] = ch
-            out.append(ch)
-        return out
+    cache = {} if _cache is None else _cache
+    no_base = (None, None, None, None)
 
     leaves: list[Leaf] = []
     nodes = 0
-    stack = [fresh(task.cell, 0, 0, (), ())]
+    # (cell, x depth, digit depth, extensions, parent chains or None)
+    stack = [(task.cell, 0, 0, (), (), None)]
     while stack:
-        cell, xm, xdepth, d, ea, eb, ca, cb, ma, mb = stack.pop()
+        cell, xdepth, d, ea, eb, parent = stack.pop()
         nodes += 1
         if nodes > budget.max_nodes:
             return Certificate("unresolved", [], nodes, task, reason="node budget")
+        xm = cell.mid()
+        mid = Interval.point(xm)
+        wa = k + ea
+        wb = l + eb
+        pa, pb, pma, pmb = parent or no_base
+        ca = _build_chain(params, cell, wa, cache, value=False, base=pa)
+        cb = _build_chain(params, cell, wb, cache, value=False, base=pb)
+        ma = _build_chain(params, mid, wa, cache, base=pma)
+        mb = _build_chain(params, mid, wb, cache, base=pmb)
         offs = Interval(
             math.nextafter(cell.lo - xm, -math.inf),
             math.nextafter(cell.hi - xm, math.inf),
@@ -259,30 +254,14 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
             else:
                 return Certificate("unresolved", [], nodes, task, reason="depth budget")
         if extend:
-            ext_ca = children(ca, cell.lo, cell.hi, k + ea)
-            ext_cb = children(cb, cell.lo, cell.hi, l + eb)
-            ext_ma = children(ma, xm, xm, k + ea)
-            ext_mb = children(mb, xm, xm, l + eb)
+            chains = (ca, cb, ma, mb)
             for da in reversed(range(b)):
                 for db in reversed(range(b)):
-                    stack.append(
-                        (
-                            cell,
-                            xm,
-                            xdepth,
-                            d + 1,
-                            ea + (da,),
-                            eb + (db,),
-                            ext_ca[da],
-                            ext_cb[db],
-                            ext_ma[da],
-                            ext_mb[db],
-                        )
-                    )
+                    stack.append((cell, xdepth, d + 1, ea + (da,), eb + (db,), chains))
         else:
             left, right = cell.bisect()
-            stack.append(fresh(right, xdepth + 1, d, ea, eb))
-            stack.append(fresh(left, xdepth + 1, d, ea, eb))
+            stack.append((right, xdepth + 1, d, ea, eb, None))
+            stack.append((left, xdepth + 1, d, ea, eb, None))
     return Certificate("transversal", leaves, nodes, task)
 
 

@@ -529,7 +529,11 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_selftest()
 
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"skewcert: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        return 1
 
     try:
         cfg = _merge_config(args)

@@ -18,13 +18,15 @@ import numpy as np
 from .interval import (
     TWO_PI,
     Interval,
-    _down,
     _fast_cos_pair,
     _fast_sin_pair,
-    _up,
 )
 
 Word = tuple[int, ...]
+
+_nextafter = math.nextafter
+_INF = math.inf
+_NEG_INF = -math.inf
 
 
 class InvalidWordError(ValueError):
@@ -54,10 +56,10 @@ class TrigPoly:
         active = []
         for k, a in enumerate(self.cos_coeffs, start=1):
             if a.mag() != 0.0:
-                active.append((float(k), a, True))
+                active.append((float(k), a.lo, a.hi, _fast_cos_pair))
         for k, b in enumerate(self.sin_coeffs, start=1):
             if b.mag() != 0.0:
-                active.append((float(k), b, False))
+                active.append((float(k), b.lo, b.hi, _fast_sin_pair))
         self._active = tuple(active)
 
     @staticmethod
@@ -103,30 +105,36 @@ class TrigPoly:
     def eval_iv(self, x: Interval) -> Interval:
         """Enclosure of psi over x (x in plain units; harmonics in turns).
 
+        A thin wrapper over `eval_bounds`, the float-level evaluation that
+        `Chain.step` also calls, so psi has a single evaluation path.
+        """
+        return Interval(*self.eval_bounds(x.lo, x.hi))
+
+    def eval_bounds(self, lo: float, hi: float) -> tuple[float, float]:
+        """Endpoints of the enclosure of psi over [lo, hi].
+
         Each harmonic takes the padded fast trig kernels; its enclosure is
         a few 1e-15 wider than the corrected `sin2pi`/`cos2pi` would give,
-        immaterial against the margins and tail radii this feeds.
+        immaterial against the margins and tail radii this feeds.  The
+        cosine terms are summed first, then the sine terms, each by
+        ascending k, with the outward rounding of `Interval` `*` and `+`.
         """
-        lo = hi = 0.0
+        out_lo = out_hi = 0.0
         first = True
-        for k, coeff, is_cos in self._active:
-            tl, th = (_fast_cos_pair if is_cos else _fast_sin_pair)(
-                _down(x.lo * k), _up(x.hi * k)
-            )
-            clo = coeff.lo
-            chi = coeff.hi
+        for k, clo, chi, pair in self._active:
+            tl, th = pair(_nextafter(lo * k, _NEG_INF), _nextafter(hi * k, _INF))
             p1 = clo * tl
             p2 = clo * th
             p3 = chi * tl
             p4 = chi * th
-            term_lo = _down(min(p1, p2, p3, p4))
-            term_hi = _up(max(p1, p2, p3, p4))
+            term_lo = _nextafter(min(p1, p2, p3, p4), _NEG_INF)
+            term_hi = _nextafter(max(p1, p2, p3, p4), _INF)
             if first:
-                lo, hi, first = term_lo, term_hi, False
+                out_lo, out_hi, first = term_lo, term_hi, False
             else:
-                lo = _down(lo + term_lo)
-                hi = _up(hi + term_hi)
-        return Interval(lo, hi)
+                out_lo = _nextafter(out_lo + term_lo, _NEG_INF)
+                out_hi = _nextafter(out_hi + term_hi, _INF)
+        return out_lo, out_hi
 
     def eval_np(self, x: np.ndarray) -> np.ndarray:
         """Fast float evaluation (midpoint coefficients, no rigor)."""
@@ -339,6 +347,19 @@ def _x_step(z: Interval, d: int, b: int) -> Interval:
     return z.shift(float(d)).scale_div(b)
 
 
+def _add_product(acc: Interval, w: Interval, vlo: float, vhi: float) -> Interval:
+    """acc + w * [vlo, vhi], rounded as `Interval` `*` and `+` round."""
+    a, c = w.lo, w.hi
+    p1 = a * vlo
+    p2 = a * vhi
+    p3 = c * vlo
+    p4 = c * vhi
+    return Interval(
+        _nextafter(acc.lo + _nextafter(min(p1, p2, p3, p4), _NEG_INF), _NEG_INF),
+        _nextafter(acc.hi + _nextafter(max(p1, p2, p3, p4), _INF), _INF),
+    )
+
+
 class Chain:
     """Prefix sums of S and S' for one digit word w over one x-set X.
 
@@ -347,32 +368,45 @@ class Chain:
     dp = sum_(n<N) gamma^n b^-(n+1) psi'(z_(n+1)), and z = z_N = x(w).
     Every chain grows by `step` on the weights of `SystemParams.powers`,
     so equal (X, w) give equal bits however the chain was built.
+
+    A slope-only chain has p = None and never evaluates psi; its dp, z
+    and n are those of the full chain.  `certify_pair` roots its cell
+    chains this way: its mean-value form takes the value difference at
+    the cell midpoint and only the slope difference over the cell.
     """
 
     __slots__ = ("p", "dp", "z", "n")
 
-    def __init__(self, p: Interval, dp: Interval, z: Interval, n: int):
+    def __init__(self, p: Interval | None, dp: Interval, z: Interval, n: int):
         self.p = p
         self.dp = dp
         self.z = z
         self.n = n
 
     @staticmethod
-    def root(x: Interval) -> "Chain":
-        """The chain of the empty word over x."""
+    def root(x: Interval, value: bool = True) -> "Chain":
+        """The chain of the empty word over x (slope-only unless `value`)."""
         zero = Interval.point(0.0)
-        return Chain(zero, zero, x, 0)
+        return Chain(zero if value else None, zero, x, 0)
 
     def step(self, params: SystemParams, d: int) -> "Chain":
-        """The chain of this word followed by digit d."""
+        """The chain of this word followed by digit d.
+
+        One pass on float endpoints, with the operations and rounding of
+        `_x_step`, then of `p + g * psi.eval_iv(z)` and
+        `dp + h * dpsi.eval_iv(z)` in `Interval` arithmetic, so the bits
+        are those of that interval loop.
+        """
         g, h = params.powers(self.n)
-        z = _x_step(self.z, d, params.b)
-        return Chain(
-            self.p + g * params.psi.eval_iv(z),
-            self.dp + h * params.dpsi.eval_iv(z),
-            z,
-            self.n + 1,
-        )
+        b = params.b
+        z = self.z
+        zlo = _nextafter(_nextafter(z.lo + d, _NEG_INF) / b, _NEG_INF)
+        zhi = _nextafter(_nextafter(z.hi + d, _INF) / b, _INF)
+        p = self.p
+        if p is not None:
+            p = _add_product(p, g, *params.psi.eval_bounds(zlo, zhi))
+        dp = _add_product(self.dp, h, *params.dpsi.eval_bounds(zlo, zhi))
+        return Chain(p, dp, Interval(zlo, zhi), self.n + 1)
 
     def walk(self, params: SystemParams, digits: Sequence[int]) -> "Chain":
         """The chain of this word followed by `digits`, one step per digit."""

@@ -357,7 +357,8 @@ def test_image_cell_indexing():
 
 
 def _chain_bits(chain):
-    return (chain.p.lo, chain.p.hi, chain.dp.lo, chain.dp.hi, chain.z.lo, chain.z.hi)
+    p = None if chain.p is None else (chain.p.lo, chain.p.hi)
+    return (p, chain.dp.lo, chain.dp.hi, chain.z.lo, chain.z.hi, chain.n)
 
 
 @pytest.mark.parametrize(
@@ -369,11 +370,12 @@ def _chain_bits(chain):
     ],
 )
 def test_chain_cache_matches_fresh_builds(b, gamma, j, p, pairs):
-    # certify_pair grows chains digit by digit into the cell's cache, where
-    # _build_chain also looks them up: every entry must have the bits of a
-    # fresh walk from the root, or the certificate would depend on which
-    # path filled the cache first.  These pairs stay unresolved, so their
-    # search extends digits.
+    # certify_pair builds each popped node's chains into the cell's cache,
+    # stepping its parent's chains after a digit extension: every entry must
+    # have the bits of a fresh walk from the root, or the certificate would
+    # depend on which path filled the cache first.  Cell entries are
+    # slope-only (p is None) and midpoint entries are full chains.  These
+    # pairs stay unresolved, so their search extends digits.
     params = SystemParams.classical(b, gamma)
     q = len(pairs[0][0])
     cell = Interval(j / b**p, (j + 1) / b**p)
@@ -382,17 +384,44 @@ def test_chain_cache_matches_fresh_builds(b, gamma, j, p, pairs):
         task = CertTask(params, q, cell, pair, 1e-3, 1e-3, Budget(max_nodes=300))
         certify_pair(task, _cache=cache)
     assert any(len(digits) > q + 1 for _, _, digits in cache)
+    kinds = set()
     for lo, hi, digits in cache:
         x = Interval(lo, hi)
-        fresh = certifier._build_chain(params, x, digits)
+        value = lo == hi
+        kinds.add(value)
+        fresh = certifier._build_chain(params, x, digits, value=value)
+        assert (fresh.p is None) is not value
         assert _chain_bits(cache[(lo, hi, digits)]) == _chain_bits(fresh)
         assert certifier._build_chain(params, x, digits, cache) is cache[(lo, hi, digits)]
-    # a miss stores the walk it returns
+    assert kinds == {False, True}
+    # a miss stores the walk it returns, from the root or from a base chain
     x = Interval(0.5, 0.75)
     digits = (b - 1,) * (q + 2)
     built = certifier._build_chain(params, x, digits, cache)
     assert cache[(x.lo, x.hi, digits)] is built
     assert _chain_bits(built) == _chain_bits(certifier._build_chain(params, x, digits))
+    base = certifier._build_chain(params, x, digits[:1])
+    stepped = certifier._build_chain(params, x, digits, {}, base=base)
+    assert _chain_bits(stepped) == _chain_bits(built)
+
+
+def test_certify_pair_builds_chains_when_popped():
+    # the root branches, and the search stops at the budget before it pops
+    # a child: only the root's four chains (cell and midpoint, for each
+    # word) may be built, none of the children it pushed
+    params = SystemParams.classical(6, 0.6)
+    cell = Interval(0.0, 1 / 36)
+    cache: dict = {}
+    task = CertTask(params, 1, cell, ((1,), (5,)), 1e-3, 1e-3, Budget(max_nodes=1))
+    cert = certify_pair(task, _cache=cache)
+    assert cert.reason == "node budget" and cert.node_count == 2
+    xm = cell.mid()
+    assert set(cache) == {
+        (cell.lo, cell.hi, (1,)),
+        (cell.lo, cell.hi, (5,)),
+        (xm, xm, (1,)),
+        (xm, xm, (5,)),
+    }
 
 
 # -- closed-form pruning quantities ---------------------------------------

@@ -389,6 +389,20 @@ def test_unusable_config_file_is_invalid_config(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("invalid config: ")
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_that_names_a_file_is_an_error(tmp_path, capsys, sub):
+    # --out is a regular file, or lies below one
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / sub if sub else afile
+    rc = run_cli(["certify", "--b", "6", "--gamma", "0.2", "--qmax", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"skewcert: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
+    assert afile.read_text() == "keep"
+
+
 @pytest.mark.parametrize(
     "start,stop,step",
     [("0.1", "0.2", "0"), ("0.1", "0.2", "-0.1"), ("0.1", "inf", "0.1"), ("nan", "0.2", "0.1")],

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from skewcert.interval import Interval
+from skewcert.interval import Interval, _fast_cos_pair, _fast_sin_pair
 from skewcert.series import (
     Chain,
     Code,
@@ -243,6 +243,54 @@ def test_series_sums_agree_with_chain(p27):
         assert _bits(eval_S_prime(p27, x, code)) == _bits(dp.widen(code.tail_der))
         assert tuple(map(_bits, split_self_similar(p27, x, w))) == (_bits(p), _bits(dp))
         assert _bits(x_of_word(p27, x, w)) == _bits(z)
+
+
+def _psi_oracle(poly, z):
+    # the scalar Interval kernel: each active harmonic's padded fast-trig
+    # enclosure times its coefficient, cosines then sines by ascending k
+    terms = [(a, k, _fast_cos_pair) for k, a in enumerate(poly.cos_coeffs, start=1)]
+    terms += [(s, k, _fast_sin_pair) for k, s in enumerate(poly.sin_coeffs, start=1)]
+    acc = None
+    for coeff, k, pair in terms:
+        if coeff.mag() != 0.0:
+            arg = z.scale(float(k))
+            term = coeff * Interval(*pair(arg.lo, arg.hi))
+            acc = term if acc is None else acc + term
+    return Interval.point(0.0) if acc is None else acc
+
+
+@pytest.mark.parametrize("b,gamma", [(2, 0.7), (6, 0.6), (12, 0.9)])
+def test_fused_chain_step_matches_interval_kernel(b, gamma):
+    # Chain.step runs on float endpoints; its bits must be those of the
+    # term-by-term Interval loop, for a psi whose cosine and sine terms
+    # over several harmonics pin the order in which they accumulate.  A
+    # slope-only chain has the full chain's dp, z and n.
+    psi = TrigPoly.from_floats(cos=[0.3, 0.0, -1.2, 0.05], sin=[0.7, 0.25, 0.0, 0.1])
+    params = SystemParams(b, gamma, psi)
+    rnd = random.Random(b)
+    for _ in range(40):
+        lo = rnd.random()
+        if rnd.random() < 0.5:
+            x = Interval.point(lo)
+        else:
+            x = Interval(lo, lo + 10 ** rnd.uniform(-8, -1))
+        w = tuple(rnd.randrange(b) for _ in range(rnd.randrange(0, 17)))
+        p = dp = Interval.point(0.0)
+        g = Interval.point(1.0)
+        h = Interval.point(1.0).scale_div(b)
+        z = x
+        for d in w:
+            z = z.shift(float(d)).scale_div(b)
+            p = p + g * _psi_oracle(psi, z)
+            dp = dp + h * _psi_oracle(params.dpsi, z)
+            g = g * params.gamma_iv
+            h = h * params.gamma_iv.scale_div(b)
+        chain = Chain.root(x).walk(params, w)
+        assert _chain_bits(chain) == (_bits(p), _bits(dp), _bits(z), len(w))
+        slope = Chain.root(x, value=False).walk(params, w)
+        assert slope.p is None
+        assert (_bits(slope.dp), _bits(slope.z), slope.n) == _chain_bits(chain)[1:]
+        assert _bits(psi.eval_iv(z)) == _bits(_psi_oracle(psi, z))
 
 
 def test_adding_machine_examples():
