@@ -89,40 +89,34 @@ class Certificate:
         return self.status == "transversal"
 
 
-# a cell's chain cache stops taking entries at this size
-_CACHE_CAP = 400000
+def _build_chain(params: SystemParams, chain: Chain, digits: Word) -> Chain:
+    """The node of `digits` below `chain` in its digit trie.
 
-
-def _build_chain(
-    params: SystemParams,
-    x: Interval,
-    digits: Word,
-    cache: dict | None = None,
-    value: bool = True,
-    base: Chain | None = None,
-) -> Chain:
-    """Chain over x for the digit string, memoized on (x, digits).
-
-    A miss walks from `base`, a chain over x of a prefix of the digits,
-    or from the root; both give the bits of a walk from the root.  With
-    `value` false a root is slope-only (`Chain.root`).
-
-    `tangency_graph` gives each cell a fresh cache for the length of one
-    call, so it pays off where identical chains recur within that cell:
-    across its pairs (which share their words k and l), across bisection rebuilds and
-    across the b^2 children of one digit extension, which step the same b
-    chains.  Nothing carries over between cells, calls or rungs.
-    `certify_pair` builds a node's chains here when it pops the node,
-    slope-only over the cell and full at the midpoint.
+    Each chain memoizes the one-digit children it has stepped (`Chain.kids`),
+    so a walk steps only the digits that no earlier walk from the same root
+    stepped, and every node has the bits of a fresh walk from its root.
+    `certify_pair` keeps one trie per pair task, rooted at each x-set it
+    meets: a node's chains extend its parent's after a digit extension,
+    and after a bisection they are walked from the half-cell's roots,
+    which the sibling extensions that bisect the same cell share.  Most
+    nodes have at most one child, which `kids` holds without a list.
     """
-    key = (x.lo, x.hi, digits)
-    chain = cache.get(key) if cache is not None else None
-    if chain is None:
-        if base is None:
-            base = Chain.root(x, value)
-        chain = base.walk(params, digits[base.n :])
-        if cache is not None and len(cache) < _CACHE_CAP:
-            cache[key] = chain
+    for d in digits:
+        kids = chain.kids
+        if kids is None:
+            child = chain.kids = chain.step(params, d)
+        elif kids.__class__ is list:
+            child = kids[d]
+            if child is None:
+                child = kids[d] = chain.step(params, d)
+        elif kids.digit == d:
+            child = kids
+        else:
+            child = chain.step(params, d)
+            chain.kids = [None] * params.b
+            chain.kids[kids.digit] = kids
+            chain.kids[d] = child
+        chain = child
     return chain
 
 
@@ -171,14 +165,14 @@ def pair_diff_enclosure(
     if ka == lb:
         # identical prefixes cancel pointwise; only the tails remain
         return Interval(-tv, tv), Interval(-td, td)
-    ca = _build_chain(params, cell, ka)
-    cb = _build_chain(params, cell, lb)
+    ca = Chain.root(cell).walk(params, ka)
+    cb = Chain.root(cell).walk(params, lb)
     val = (ca.p - cb.p).widen(tv)
     der = (ca.dp - cb.dp).widen(td)
     return val, der
 
 
-def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
+def certify_pair(task: CertTask) -> Certificate:
     """Decide (k, l) not-in E(q, cell; eps, delta) by exhaustive covering.
 
     Each node carries interval prefix chains over its cell *and* thin chains
@@ -187,8 +181,10 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
     of the x-dependence that a term-by-term enclosure loses.  The cell
     chains are slope-only (no value sum): that form reads the value
     difference only at the midpoint.  A node builds its chains when it is
-    popped, from its parent's chains after a digit extension and from the
-    root after a bisection, so nodes left on the stack cost nothing.
+    popped, in a digit trie (`_build_chain`) that lives for this call: one
+    step from its parent's chains after a digit extension, and from the
+    roots over its cell and midpoint after a bisection, so nodes left on
+    the stack cost nothing and no prefix is stepped twice over one x-set.
     """
     params = task.params
     k, l = task.pair
@@ -199,8 +195,14 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
     tv2, td2, m2 = _pair_bounds(params, task.q, budget.d_max)
     eps = task.eps
     delta = task.delta
-    cache = {} if _cache is None else _cache
-    no_base = (None, None, None, None)
+    roots: dict = {}
+
+    def root(x: Interval, value: bool) -> Chain:
+        key = (x.lo, x.hi, value)
+        chain = roots.get(key)
+        if chain is None:
+            chain = roots[key] = Chain.root(x, value)
+        return chain
 
     leaves: list[Leaf] = []
     nodes = 0
@@ -212,14 +214,19 @@ def certify_pair(task: CertTask, _cache: dict | None = None) -> Certificate:
         if nodes > budget.max_nodes:
             return Certificate("unresolved", [], nodes, task, reason="node budget")
         xm = cell.mid()
-        mid = Interval.point(xm)
-        wa = k + ea
-        wb = l + eb
-        pa, pb, pma, pmb = parent or no_base
-        ca = _build_chain(params, cell, wa, cache, value=False, base=pa)
-        cb = _build_chain(params, cell, wb, cache, value=False, base=pb)
-        ma = _build_chain(params, mid, wa, cache, base=pma)
-        mb = _build_chain(params, mid, wb, cache, base=pmb)
+        if parent is None:
+            pa = pb = root(cell, False)
+            pma = pmb = root(Interval.point(xm), True)
+            sa = k + ea
+            sb = l + eb
+        else:
+            pa, pb, pma, pmb = parent
+            sa = ea[-1:]
+            sb = eb[-1:]
+        ca = _build_chain(params, pa, sa)
+        cb = _build_chain(params, pb, sb)
+        ma = _build_chain(params, pma, sa)
+        mb = _build_chain(params, pmb, sb)
         offs = Interval(
             math.nextafter(cell.lo - xm, -math.inf),
             math.nextafter(cell.hi - xm, math.inf),
@@ -405,6 +412,23 @@ def _mirror_certificate(
     return Certificate(cert.status, leaves, cert.node_count, task, cert.reason, source)
 
 
+def _reruns_to_itself(cert: Certificate, eps: float, delta: float, budget: Budget) -> bool:
+    """Would certifying cert's task at (eps, delta, budget) give cert again?
+
+    `certify_pair` is deterministic, and `max_nodes` only decides when it
+    stops on "node budget".  So a certificate that stopped on "depth budget"
+    or "tangency witness" within `budget.max_nodes` nodes comes back as it
+    is from the same margins and a budget that differs only in `max_nodes`.
+    """
+    task = cert.task
+    return (
+        cert.reason in ("depth budget", "tangency witness")
+        and (task.eps, task.delta) == (eps, delta)
+        and replace(task.budget, max_nodes=budget.max_nodes) == budget
+        and cert.node_count <= budget.max_nodes
+    )
+
+
 def tangency_graph(
     params: SystemParams,
     q: int,
@@ -420,6 +444,10 @@ def tangency_graph(
     (eps, delta), pairs it already certified are inherited and only its
     unresolved pairs are certified again: transversality at some margins
     implies transversality at equal or smaller ones.
+
+    An unresolved prior certificate that stopped before its node budget is
+    inherited too when certifying its pair again would give it back
+    (`_reruns_to_itself`), as in the full-budget pass after a probe.
 
     When psi is odd (no cosine terms), only the cells j <= (n - 1)/2 are
     certified.  Cell n - 1 - j takes the mirror images of cell j's
@@ -447,22 +475,22 @@ def tangency_graph(
             cell_pairs.add((w, w))
         source = n_cells - 1 - j
         derive = mirror and source < j
-        cache: dict = {}
         for i, (k, l) in enumerate(pairs):
-            if prior is not None and (k, l) not in prior.unresolved[j]:
-                inherited = prior.certificates.get((j, k, l))
-                if inherited is not None:
-                    graph.certificates[(j, k, l)] = inherited
-                continue
             cert = None
-            if derive:
+            if prior is not None:
+                inherited = prior.certificates.get((j, k, l))
+                if (k, l) not in prior.unresolved[j]:
+                    if inherited is not None:
+                        graph.certificates[(j, k, l)] = inherited
+                    continue
+                if inherited is not None and _reruns_to_itself(inherited, eps, delta, budget):
+                    cert = inherited
+            if cert is None and derive:
                 mirrored = graph.certificates.get((source, *pairs[mirror_index[i]]))
                 if mirrored is not None:
                     cert = _mirror_certificate(mirrored, cell, (k, l), source, slopes, reflected)
             if cert is None:
-                cert = certify_pair(
-                    CertTask(params, q, cell, (k, l), eps, delta, budget), _cache=cache
-                )
+                cert = certify_pair(CertTask(params, q, cell, (k, l), eps, delta, budget))
             graph.certificates[(j, k, l)] = cert
             if not cert.transversal:
                 cell_pairs.add((k, l))

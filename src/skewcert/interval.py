@@ -302,77 +302,68 @@ def cos2pi(x: Interval) -> Interval:
     return Interval(max(rlo, -1.0), min(rhi, 1.0))
 
 
-# -- fast trig pairs ----------------------------------------------------
+# -- fast trig pair ----------------------------------------------------
 #
 # The corrected kernels above stay within ~1 ulp, which the certifier does
-# not need: its margins are 1e-2..1e-4.  These variants skip the argument
-# correction and pay with a 2e-15 absolute pad (worst-case residue rounding
+# not need: its margins are 1e-2..1e-4.  This variant skips the argument
+# correction and pays with a 2e-15 absolute pad (worst-case residue rounding
 # for negative arguments is ~7e-16, libm and argument rounding ~5e-16).
 
 _FAST_PAD = 2e-15
 
 
-def _fast_sin_point(x: float) -> float:
-    r = x - math.floor(x)
+def _fast_sincos_turn(r: float) -> tuple[float, float]:
+    """sin(2 pi r) and cos(2 pi r) for r in [0, 1], folded to [0, 1/4]."""
+    sin = math.sin
     if r <= 0.25:
-        return math.sin(PI2_HI * r)
-    if r <= 0.5:
-        return math.sin(PI2_HI * (0.5 - r))
-    if r <= 0.75:
-        return -math.sin(PI2_HI * (r - 0.5))
-    return -math.sin(PI2_HI * (1.0 - r))
-
-
-def _fast_cos_point(x: float) -> float:
-    r = x - math.floor(x)
+        s = sin(PI2_HI * r)
+    elif r <= 0.5:
+        s = sin(PI2_HI * (0.5 - r))
+    elif r <= 0.75:
+        s = -sin(PI2_HI * (r - 0.5))
+    else:
+        s = -sin(PI2_HI * (1.0 - r))
     if r < 0.25:
-        return math.cos(PI2_HI * r)
-    if r <= 0.5:
-        return -math.sin(PI2_HI * (r - 0.25))
-    if r <= 0.75:
-        return -math.cos(PI2_HI * (r - 0.5))
-    return math.sin(PI2_HI * (r - 0.75))
+        c = math.cos(PI2_HI * r)
+    elif r <= 0.5:
+        c = -sin(PI2_HI * (r - 0.25))
+    elif r <= 0.75:
+        c = -math.cos(PI2_HI * (r - 0.5))
+    else:
+        c = sin(PI2_HI * (r - 0.75))
+    return s, c
 
 
-def _fast_sin_pair(lo: float, hi: float) -> tuple[float, float]:
-    """Enclosure endpoints of sin(2 pi .) over [lo, hi], padded by `_FAST_PAD`."""
+def _fast_sincos_pair(lo: float, hi: float) -> tuple[float, float, float, float]:
+    """Enclosure endpoints (sin_lo, sin_hi, cos_lo, cos_hi) of sin(2 pi .)
+    and cos(2 pi .) over [lo, hi], each padded by `_FAST_PAD`.
+
+    One floor per endpoint reduces it for both functions.  As hi - lo < 1,
+    a critical point m + c (c = 0, 1/4, 1/2 or 3/4) lies in [lo, hi] only
+    for m = floor(lo) or floor(lo) + 1, and both are tested exactly.
+    """
     if not hi - lo < 1.0 or lo <= -_TURN_LIMIT or hi >= _TURN_LIMIT:
-        return (-1.0, 1.0)
-    a = _fast_sin_point(lo)
-    b = _fast_sin_point(hi)
-    if a > b:
-        a, b = b, a
-    a -= _FAST_PAD
-    b += _FAST_PAD
-    if _has_crossing(lo, hi, 0.25):
-        b = 1.0
-    elif b > 1.0:
-        b = 1.0
-    if _has_crossing(lo, hi, 0.75):
-        a = -1.0
-    elif a < -1.0:
-        a = -1.0
-    return (a, b)
-
-
-def _fast_cos_pair(lo: float, hi: float) -> tuple[float, float]:
-    if not hi - lo < 1.0 or lo <= -_TURN_LIMIT or hi >= _TURN_LIMIT:
-        return (-1.0, 1.0)
-    a = _fast_cos_point(lo)
-    b = _fast_cos_point(hi)
-    if a > b:
-        a, b = b, a
-    a -= _FAST_PAD
-    b += _FAST_PAD
-    if _has_crossing(lo, hi, 0.0):
-        b = 1.0
-    elif b > 1.0:
-        b = 1.0
-    if _has_crossing(lo, hi, 0.5):
-        a = -1.0
-    elif a < -1.0:
-        a = -1.0
-    return (a, b)
+        return (-1.0, 1.0, -1.0, 1.0)
+    n = math.floor(lo)
+    s_lo, c_lo = _fast_sincos_turn(lo - n)
+    s_hi, c_hi = _fast_sincos_turn(hi - math.floor(hi))
+    if s_lo > s_hi:
+        s_lo, s_hi = s_hi, s_lo
+    if c_lo > c_hi:
+        c_lo, c_hi = c_hi, c_lo
+    s_lo -= _FAST_PAD
+    s_hi += _FAST_PAD
+    c_lo -= _FAST_PAD
+    c_hi += _FAST_PAD
+    if lo <= n + 0.25 <= hi or n + 1.25 <= hi or s_hi > 1.0:
+        s_hi = 1.0
+    if lo <= n + 0.75 <= hi or n + 1.75 <= hi or s_lo < -1.0:
+        s_lo = -1.0
+    if lo <= n or n + 1 <= hi or c_hi > 1.0:
+        c_hi = 1.0
+    if lo <= n + 0.5 <= hi or n + 1.5 <= hi or c_lo < -1.0:
+        c_lo = -1.0
+    return (s_lo, s_hi, c_lo, c_hi)
 
 
 # rigorous enclosure of 2*pi

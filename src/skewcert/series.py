@@ -15,12 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import (
-    TWO_PI,
-    Interval,
-    _fast_cos_pair,
-    _fast_sin_pair,
-)
+from .interval import TWO_PI, Interval, _fast_sincos_pair
 
 Word = tuple[int, ...]
 
@@ -44,7 +39,7 @@ class TrigPoly:
     be represented faithfully; plain floats become degenerate intervals.
     """
 
-    __slots__ = ("cos_coeffs", "sin_coeffs", "_active")
+    __slots__ = ("cos_coeffs", "sin_coeffs", "_harmonics", "_terms")
 
     def __init__(
         self,
@@ -53,14 +48,27 @@ class TrigPoly:
     ):
         self.cos_coeffs = tuple(cos_coeffs)
         self.sin_coeffs = tuple(sin_coeffs)
+        self._harmonics = tuple(sorted({k for k, _, _, _ in self._active()}))
+        self._terms = self._terms_on(self._harmonics)
+
+    def _active(self) -> list[tuple[float, bool, float, float]]:
+        """(k, is cosine, coefficient lo, hi) of each nonzero term: the
+        cosine terms, then the sine terms, each by ascending k."""
         active = []
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            if a.mag() != 0.0:
-                active.append((float(k), a.lo, a.hi, _fast_cos_pair))
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            if b.mag() != 0.0:
-                active.append((float(k), b.lo, b.hi, _fast_sin_pair))
-        self._active = tuple(active)
+        for is_cos, coeffs in ((True, self.cos_coeffs), (False, self.sin_coeffs)):
+            for k, c in enumerate(coeffs, start=1):
+                if c.mag() != 0.0:
+                    active.append((float(k), is_cos, c.lo, c.hi))
+        return active
+
+    def _terms_on(self, harmonics: Sequence[float]) -> tuple[tuple[int, float, float], ...]:
+        """The nonzero terms as (j, coefficient lo, hi), in `_active` order,
+        where j indexes the enclosure endpoints of the term's sin or cos in
+        `_trig_table(harmonics, ...)`; `harmonics` holds every k of psi."""
+        return tuple(
+            (4 * harmonics.index(k) + (2 if is_cos else 0), clo, chi)
+            for k, is_cos, clo, chi in self._active()
+        )
 
     @staticmethod
     def from_floats(cos: Sequence[float] = (), sin: Sequence[float] = ()) -> "TrigPoly":
@@ -105,36 +113,12 @@ class TrigPoly:
     def eval_iv(self, x: Interval) -> Interval:
         """Enclosure of psi over x (x in plain units; harmonics in turns).
 
-        A thin wrapper over `eval_bounds`, the float-level evaluation that
-        `Chain.step` also calls, so psi has a single evaluation path.
+        Each harmonic takes the padded fast trig kernel that `Chain.step`
+        also runs; its enclosure is a few 1e-15 wider than the corrected
+        `sin2pi`/`cos2pi` would give, immaterial against the margins and
+        tail radii this feeds.
         """
-        return Interval(*self.eval_bounds(x.lo, x.hi))
-
-    def eval_bounds(self, lo: float, hi: float) -> tuple[float, float]:
-        """Endpoints of the enclosure of psi over [lo, hi].
-
-        Each harmonic takes the padded fast trig kernels; its enclosure is
-        a few 1e-15 wider than the corrected `sin2pi`/`cos2pi` would give,
-        immaterial against the margins and tail radii this feeds.  The
-        cosine terms are summed first, then the sine terms, each by
-        ascending k, with the outward rounding of `Interval` `*` and `+`.
-        """
-        out_lo = out_hi = 0.0
-        first = True
-        for k, clo, chi, pair in self._active:
-            tl, th = pair(_nextafter(lo * k, _NEG_INF), _nextafter(hi * k, _INF))
-            p1 = clo * tl
-            p2 = clo * th
-            p3 = chi * tl
-            p4 = chi * th
-            term_lo = _nextafter(min(p1, p2, p3, p4), _NEG_INF)
-            term_hi = _nextafter(max(p1, p2, p3, p4), _INF)
-            if first:
-                out_lo, out_hi, first = term_lo, term_hi, False
-            else:
-                out_lo = _nextafter(out_lo + term_lo, _NEG_INF)
-                out_hi = _nextafter(out_hi + term_hi, _INF)
-        return out_lo, out_hi
+        return Interval(*_sum_terms(self._terms, _trig_table(self._harmonics, x.lo, x.hi)))
 
     def eval_np(self, x: np.ndarray) -> np.ndarray:
         """Fast float evaluation (midpoint coefficients, no rigor)."""
@@ -148,6 +132,39 @@ class TrigPoly:
             if m != 0.0:
                 out += m * np.sin((2.0 * math.pi * k) * x)
         return out
+
+
+def _trig_table(harmonics: Sequence[float], lo: float, hi: float) -> list[float]:
+    """sin and cos enclosure endpoints over [k lo, k hi] (rounded outward as
+    `Interval.scale`) for each k of `harmonics`, four floats per k."""
+    table: list[float] = []
+    for k in harmonics:
+        table += _fast_sincos_pair(_nextafter(lo * k, _NEG_INF), _nextafter(hi * k, _INF))
+    return table
+
+
+def _sum_terms(
+    terms: Sequence[tuple[int, float, float]], table: list[float]
+) -> tuple[float, float]:
+    """Endpoints of sum c_j [table[j], table[j+1]] over `terms` in order,
+    with the outward rounding of `Interval` `*` and `+`; (0, 0) if empty."""
+    out_lo = out_hi = 0.0
+    first = True
+    for j, clo, chi in terms:
+        tl = table[j]
+        th = table[j + 1]
+        p1 = clo * tl
+        p2 = clo * th
+        p3 = chi * tl
+        p4 = chi * th
+        term_lo = _nextafter(min(p1, p2, p3, p4), _NEG_INF)
+        term_hi = _nextafter(max(p1, p2, p3, p4), _INF)
+        if first:
+            out_lo, out_hi, first = term_lo, term_hi, False
+        else:
+            out_lo = _nextafter(out_lo + term_lo, _NEG_INF)
+            out_hi = _nextafter(out_hi + term_hi, _INF)
+    return out_lo, out_hi
 
 
 def classical_phi() -> TrigPoly:
@@ -183,6 +200,11 @@ class SystemParams:
                 f"gamma must lie in (1/b, 1) = ({1.0 / self.b}, 1), got {self.gamma!r}"
             )
         object.__setattr__(self, "dpsi", self.psi.derivative())
+        # one trig table over the harmonics of psi and psi' serves both
+        harmonics = tuple(sorted({*self.psi._harmonics, *self.dpsi._harmonics}))
+        object.__setattr__(self, "_harmonics", harmonics)
+        object.__setattr__(self, "_psi_terms", self.psi._terms_on(harmonics))
+        object.__setattr__(self, "_dpsi_terms", self.dpsi._terms_on(harmonics))
         object.__setattr__(self, "psi_sup", self.psi.sup_bound())
         object.__setattr__(self, "dpsi_sup", self.dpsi.sup_bound())
         one = Interval.point(1.0)
@@ -347,16 +369,18 @@ def _x_step(z: Interval, d: int, b: int) -> Interval:
     return z.shift(float(d)).scale_div(b)
 
 
-def _add_product(acc: Interval, w: Interval, vlo: float, vhi: float) -> Interval:
-    """acc + w * [vlo, vhi], rounded as `Interval` `*` and `+` round."""
+def _add_product(
+    acc_lo: float, acc_hi: float, w: Interval, vlo: float, vhi: float
+) -> tuple[float, float]:
+    """[acc_lo, acc_hi] + w * [vlo, vhi], rounded as `Interval` `*` and `+` round."""
     a, c = w.lo, w.hi
     p1 = a * vlo
     p2 = a * vhi
     p3 = c * vlo
     p4 = c * vhi
-    return Interval(
-        _nextafter(acc.lo + _nextafter(min(p1, p2, p3, p4), _NEG_INF), _NEG_INF),
-        _nextafter(acc.hi + _nextafter(max(p1, p2, p3, p4), _INF), _INF),
+    return (
+        _nextafter(acc_lo + _nextafter(min(p1, p2, p3, p4), _NEG_INF), _NEG_INF),
+        _nextafter(acc_hi + _nextafter(max(p1, p2, p3, p4), _INF), _INF),
     )
 
 
@@ -367,27 +391,60 @@ class Chain:
     holds enclosures of p = sum_(n<N) gamma^n psi(z_(n+1)) and
     dp = sum_(n<N) gamma^n b^-(n+1) psi'(z_(n+1)), and z = z_N = x(w).
     Every chain grows by `step` on the weights of `SystemParams.powers`,
-    so equal (X, w) give equal bits however the chain was built.
+    so equal (X, w) give equal bits however the chain was built.  The
+    endpoints are held as floats; `p`, `dp` and `z` read them as intervals.
 
     A slope-only chain has p = None and never evaluates psi; its dp, z
     and n are those of the full chain.  `certify_pair` roots its cell
     chains this way: its mean-value form takes the value difference at
     the cell midpoint and only the slope difference over the cell.
+
+    `digit` is the last digit of w (-1 for the empty word).  `kids` holds
+    the one-digit children of a chain in the digit trie of
+    `certifier._build_chain`: None until the first child is stepped there,
+    then that child, then a list of b slots indexed by digit.
     """
 
-    __slots__ = ("p", "dp", "z", "n")
+    __slots__ = ("plo", "phi", "dplo", "dphi", "zlo", "zhi", "n", "digit", "kids")
 
-    def __init__(self, p: Interval | None, dp: Interval, z: Interval, n: int):
-        self.p = p
-        self.dp = dp
-        self.z = z
+    def __init__(
+        self,
+        plo: float | None,
+        phi: float | None,
+        dplo: float,
+        dphi: float,
+        zlo: float,
+        zhi: float,
+        n: int,
+        digit: int = -1,
+    ):
+        self.plo = plo
+        self.phi = phi
+        self.dplo = dplo
+        self.dphi = dphi
+        self.zlo = zlo
+        self.zhi = zhi
         self.n = n
+        self.digit = digit
+        self.kids = None
+
+    @property
+    def p(self) -> Interval | None:
+        return None if self.plo is None else Interval(self.plo, self.phi)
+
+    @property
+    def dp(self) -> Interval:
+        return Interval(self.dplo, self.dphi)
+
+    @property
+    def z(self) -> Interval:
+        return Interval(self.zlo, self.zhi)
 
     @staticmethod
     def root(x: Interval, value: bool = True) -> "Chain":
         """The chain of the empty word over x (slope-only unless `value`)."""
-        zero = Interval.point(0.0)
-        return Chain(zero if value else None, zero, x, 0)
+        p = 0.0 if value else None
+        return Chain(p, p, 0.0, 0.0, x.lo, x.hi, 0)
 
     def step(self, params: SystemParams, d: int) -> "Chain":
         """The chain of this word followed by digit d.
@@ -395,18 +452,21 @@ class Chain:
         One pass on float endpoints, with the operations and rounding of
         `_x_step`, then of `p + g * psi.eval_iv(z)` and
         `dp + h * dpsi.eval_iv(z)` in `Interval` arithmetic, so the bits
-        are those of that interval loop.
+        are those of that interval loop.  One trig table over the
+        harmonics of psi and psi' feeds both sums.
         """
         g, h = params.powers(self.n)
         b = params.b
-        z = self.z
-        zlo = _nextafter(_nextafter(z.lo + d, _NEG_INF) / b, _NEG_INF)
-        zhi = _nextafter(_nextafter(z.hi + d, _INF) / b, _INF)
-        p = self.p
-        if p is not None:
-            p = _add_product(p, g, *params.psi.eval_bounds(zlo, zhi))
-        dp = _add_product(self.dp, h, *params.dpsi.eval_bounds(zlo, zhi))
-        return Chain(p, dp, Interval(zlo, zhi), self.n + 1)
+        zlo = _nextafter(_nextafter(self.zlo + d, _NEG_INF) / b, _NEG_INF)
+        zhi = _nextafter(_nextafter(self.zhi + d, _INF) / b, _INF)
+        table = _trig_table(params._harmonics, zlo, zhi)
+        plo = phi = None
+        if self.plo is not None:
+            plo, phi = _add_product(self.plo, self.phi, g, *_sum_terms(params._psi_terms, table))
+        dplo, dphi = _add_product(
+            self.dplo, self.dphi, h, *_sum_terms(params._dpsi_terms, table)
+        )
+        return Chain(plo, phi, dplo, dphi, zlo, zhi, self.n + 1, d)
 
     def walk(self, params: SystemParams, digits: Sequence[int]) -> "Chain":
         """The chain of this word followed by `digits`, one step per digit."""

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from skewcert.interval import _FAST_PAD, _TURN_LIMIT, PI2_HI, _has_crossing
 from skewcert.series import SystemParams, tail_value, tail_deriv
 
 
@@ -135,3 +136,58 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-14) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# -- per-function fast trig pairs ---------------------------------------
+#
+# One reduction and one crossing search per function, as the library did
+# before `interval._fast_sincos_pair` served sin and cos from one floor per
+# endpoint; the fused kernel must give these bits.
+
+
+def _fast_sin_point(x: float) -> float:
+    r = x - math.floor(x)
+    if r <= 0.25:
+        return math.sin(PI2_HI * r)
+    if r <= 0.5:
+        return math.sin(PI2_HI * (0.5 - r))
+    if r <= 0.75:
+        return -math.sin(PI2_HI * (r - 0.5))
+    return -math.sin(PI2_HI * (1.0 - r))
+
+
+def _fast_cos_point(x: float) -> float:
+    r = x - math.floor(x)
+    if r < 0.25:
+        return math.cos(PI2_HI * r)
+    if r <= 0.5:
+        return -math.sin(PI2_HI * (r - 0.25))
+    if r <= 0.75:
+        return -math.cos(PI2_HI * (r - 0.5))
+    return math.sin(PI2_HI * (r - 0.75))
+
+
+def _fast_pair(point, top: float, bottom: float, lo: float, hi: float):
+    if not hi - lo < 1.0 or lo <= -_TURN_LIMIT or hi >= _TURN_LIMIT:
+        return (-1.0, 1.0)
+    a = point(lo)
+    b = point(hi)
+    if a > b:
+        a, b = b, a
+    a -= _FAST_PAD
+    b += _FAST_PAD
+    if _has_crossing(lo, hi, top) or b > 1.0:
+        b = 1.0
+    if _has_crossing(lo, hi, bottom) or a < -1.0:
+        a = -1.0
+    return (a, b)
+
+
+def fast_sin_pair(lo: float, hi: float) -> tuple[float, float]:
+    """Padded enclosure endpoints of sin(2 pi .) over [lo, hi]."""
+    return _fast_pair(_fast_sin_point, 0.25, 0.75, lo, hi)
+
+
+def fast_cos_pair(lo: float, hi: float) -> tuple[float, float]:
+    """Padded enclosure endpoints of cos(2 pi .) over [lo, hi]."""
+    return _fast_pair(_fast_cos_point, 0.0, 0.5, lo, hi)

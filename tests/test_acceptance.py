@@ -7,6 +7,7 @@ tolerances and budgets are pinned here, not configurable.
 import json
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from skewcert.certifier import (
     delta_max,
     theta_bound,
 )
+from skewcert import cli
 from skewcert.cli import main as cli_main
 from skewcert.measures import (
     AtomicMeasure,
@@ -286,7 +288,17 @@ def test_criterion_7_fiber_local_dimension():
 # -- criterion 8: byte determinism across thread counts ----------------------------
 
 
-def test_criterion_8_sweep_determinism(tmp_path):
+def test_criterion_8_sweep_determinism(tmp_path, monkeypatch):
+    # two usable CPUs, whatever the host has, so the --threads 4 run
+    # really runs its 3 gamma values in a pool of 2 worker processes
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
     args = [
         "sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.9",
         "--gamma-step", "0.3", "--qmax", "1",
@@ -300,9 +312,9 @@ def test_criterion_8_sweep_determinism(tmp_path):
         tmp_path / "t4" / "report.json"
     ).read_bytes()
     rows = json.loads((tmp_path / "t1" / "report.json").read_text())["rows"]
-    ok = rc1 == 0 and rc2 == 0 and csv_same and rep_same and len(rows) == 3
+    ok = rc1 == 0 and rc2 == 0 and csv_same and rep_same and len(rows) == 3 and pools == [2]
     _report(
         "criterion 8 (sweep reports byte-identical across thread counts)",
         ok,
-        f"csv={csv_same} report={rep_same} rows={len(rows)}",
+        f"csv={csv_same} report={rep_same} rows={len(rows)} pools={pools}",
     )

@@ -8,7 +8,7 @@ import pytest
 
 from skewcert import certifier
 from skewcert.interval import Interval
-from skewcert.series import SystemParams, TrigPoly, reflect_word, tail_value, tail_deriv
+from skewcert.series import Chain, SystemParams, TrigPoly, reflect_word, tail_value, tail_deriv
 from skewcert.certifier import (
     Budget,
     CertTask,
@@ -195,9 +195,9 @@ def _record_certify_calls(monkeypatch) -> list:
     """Route certifier.certify_pair through a recorder of its tasks."""
     calls = []
 
-    def recording(task, _cache=None):
+    def recording(task):
         calls.append(task)
-        return certify_pair(task, _cache)
+        return certify_pair(task)
 
     monkeypatch.setattr(certifier, "certify_pair", recording)
     return calls
@@ -242,6 +242,34 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
     assert len(calls) == len(g.certificates) - derived
     for j in range(n):
         assert g.unresolved[n - 1 - j] == reflected_pairs(g, j)
+
+
+def test_full_pass_certifies_only_node_budget_pairs(monkeypatch):
+    # a probe certificate that stopped on "depth budget" (or "tangency
+    # witness") comes back unchanged at the full budget, so the full pass
+    # inherits it and calls certify_pair only on the probe's "node budget"
+    # pairs; the graph is the one a single full-budget pass gives
+    params = SystemParams.classical(2, 0.98)
+    eps = 1e-2
+    direct = tangency_graph(params, 1, 4, eps, eps)
+    probe = tangency_graph(params, 1, 4, eps, eps, Budget(max_nodes=1024))
+    reasons = {key: c.reason for key, c in probe.certificates.items() if not c.transversal}
+    assert set(reasons.values()) == {"node budget", "depth budget"}
+    calls = _record_certify_calls(monkeypatch)
+    full = tangency_graph(params, 1, 4, eps, eps, Budget(), prior=probe)
+    cells = {(probe.cell_interval(j).lo, probe.cell_interval(j).hi): j for j in range(16)}
+    called = [(cells[(t.cell.lo, t.cell.hi)], *t.pair) for t in calls]
+    assert called and all(reasons.get(key) == "node budget" for key in called)
+    for key, reason in reasons.items():
+        if reason == "depth budget":
+            assert full.certificates[key] is probe.certificates[key]
+    assert full.unresolved == direct.unresolved
+    for key, cert in direct.certificates.items():
+        got = full.certificates[key]
+        assert (got.status, got.reason, got.node_count, got.derived_from) == (
+            cert.status, cert.reason, cert.node_count, cert.derived_from
+        )
+        assert repr(got.leaves) == repr(cert.leaves)
 
 
 def test_graph_non_odd_psi_certifies_every_cell(monkeypatch):
@@ -353,12 +381,52 @@ def test_image_cell_indexing():
             assert parent == min(int(img * 16), 15)
 
 
-# -- chain cache -----------------------------------------------------------
+# -- chain trie --------------------------------------------------------------
 
 
 def _chain_bits(chain):
     p = None if chain.p is None else (chain.p.lo, chain.p.hi)
     return (p, chain.dp.lo, chain.dp.hi, chain.z.lo, chain.z.hi, chain.n)
+
+
+def _record_trie(monkeypatch) -> list:
+    """Record certify_pair's `_build_chain` calls as (start, digits, end,
+    number of `Chain.step` calls the walk made)."""
+    calls = []
+    steps = [0]
+    step = Chain.step
+    build = certifier._build_chain
+
+    def counting_step(chain, params, d):
+        steps[0] += 1
+        return step(chain, params, d)
+
+    def recording_build(params, chain, digits):
+        before = steps[0]
+        end = build(params, chain, digits)
+        calls.append((chain, digits, end, steps[0] - before))
+        return end
+
+    monkeypatch.setattr(Chain, "step", counting_step)
+    monkeypatch.setattr(certifier, "_build_chain", recording_build)
+    return calls
+
+
+def _trie_nodes(root):
+    """Every (node, word) of the trie below root, the root included."""
+    out = []
+    todo = [(root, ())]
+    while todo:
+        chain, word = todo.pop()
+        out.append((chain, word))
+        kids = chain.kids
+        if isinstance(kids, Chain):
+            todo.append((kids, word + (kids.digit,)))
+            continue
+        for d, kid in enumerate(kids or ()):
+            if kid is not None:
+                todo.append((kid, word + (d,)))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -369,59 +437,85 @@ def _chain_bits(chain):
         (2, 0.98, 0, 6, [((1, 0), (1, 1))]),
     ],
 )
-def test_chain_cache_matches_fresh_builds(b, gamma, j, p, pairs):
-    # certify_pair builds each popped node's chains into the cell's cache,
-    # stepping its parent's chains after a digit extension: every entry must
-    # have the bits of a fresh walk from the root, or the certificate would
-    # depend on which path filled the cache first.  Cell entries are
-    # slope-only (p is None) and midpoint entries are full chains.  These
-    # pairs stay unresolved, so their search extends digits.
+def test_chain_cache_matches_fresh_builds(b, gamma, j, p, pairs, monkeypatch):
+    # certify_pair builds each popped node's chains in its digit trie,
+    # stepping its parent's chains after a digit extension and walking from
+    # the half-cell's roots after a bisection: every trie node must have the
+    # bits of a fresh walk from its root, or the certificate would depend on
+    # which path stepped it first.  Cell roots are slope-only (p is None)
+    # and midpoint roots full.  These pairs stay unresolved, and their
+    # search extends digits to the depth budget and then bisects.
     params = SystemParams.classical(b, gamma)
     q = len(pairs[0][0])
     cell = Interval(j / b**p, (j + 1) / b**p)
-    cache: dict = {}
+    calls = _record_trie(monkeypatch)
     for pair in pairs:
-        task = CertTask(params, q, cell, pair, 1e-3, 1e-3, Budget(max_nodes=300))
-        certify_pair(task, _cache=cache)
-    assert any(len(digits) > q + 1 for _, _, digits in cache)
-    kinds = set()
-    for lo, hi, digits in cache:
-        x = Interval(lo, hi)
-        value = lo == hi
-        kinds.add(value)
-        fresh = certifier._build_chain(params, x, digits, value=value)
-        assert (fresh.p is None) is not value
-        assert _chain_bits(cache[(lo, hi, digits)]) == _chain_bits(fresh)
-        assert certifier._build_chain(params, x, digits, cache) is cache[(lo, hi, digits)]
-    assert kinds == {False, True}
-    # a miss stores the walk it returns, from the root or from a base chain
-    x = Interval(0.5, 0.75)
-    digits = (b - 1,) * (q + 2)
-    built = certifier._build_chain(params, x, digits, cache)
-    assert cache[(x.lo, x.hi, digits)] is built
-    assert _chain_bits(built) == _chain_bits(certifier._build_chain(params, x, digits))
-    base = certifier._build_chain(params, x, digits[:1])
-    stepped = certifier._build_chain(params, x, digits, {}, base=base)
-    assert _chain_bits(stepped) == _chain_bits(built)
+        calls.clear()
+        task = CertTask(params, q, cell, pair, 1e-3, 1e-3, Budget(max_nodes=1000))
+        assert not certify_pair(task).transversal
+        roots = {id(start): start for start, *_ in calls if start.n == 0}
+        assert len(roots) > 2  # the task cell's two roots and a half-cell's
+        deep = False
+        nodes = 0
+        kinds = set()
+        for root in roots.values():
+            value = root.p is not None
+            kinds.add(value)
+            for chain, word in _trie_nodes(root):
+                fresh = Chain.root(root.z, value).walk(params, word)
+                assert _chain_bits(chain) == _chain_bits(fresh)
+                assert chain.digit == (word[-1] if word else -1)
+                nodes += 1
+                deep = deep or len(word) > q + 1
+        assert deep and kinds == {False, True}
+        # each trie node below a root was stepped exactly once
+        assert sum(n for *_, n in calls) == nodes - len(roots)
 
 
-def test_certify_pair_builds_chains_when_popped():
+def test_certify_pair_builds_chains_when_popped(monkeypatch):
     # the root branches, and the search stops at the budget before it pops
     # a child: only the root's four chains (cell and midpoint, for each
-    # word) may be built, none of the children it pushed
+    # word) may be built, one step each from the two roots, and none of the
+    # children it pushed
     params = SystemParams.classical(6, 0.6)
     cell = Interval(0.0, 1 / 36)
-    cache: dict = {}
+    calls = _record_trie(monkeypatch)
     task = CertTask(params, 1, cell, ((1,), (5,)), 1e-3, 1e-3, Budget(max_nodes=1))
-    cert = certify_pair(task, _cache=cache)
+    cert = certify_pair(task)
     assert cert.reason == "node budget" and cert.node_count == 2
     xm = cell.mid()
-    assert set(cache) == {
-        (cell.lo, cell.hi, (1,)),
-        (cell.lo, cell.hi, (5,)),
-        (xm, xm, (1,)),
-        (xm, xm, (5,)),
-    }
+    assert [(start.z.lo, start.z.hi, start.n, digits, n) for start, digits, _, n in calls] == [
+        (cell.lo, cell.hi, 0, (1,), 1),
+        (cell.lo, cell.hi, 0, (5,), 1),
+        (xm, xm, 0, (1,), 1),
+        (xm, xm, 0, (5,), 1),
+    ]
+    cell_root, mid_root = calls[0][0], calls[2][0]
+    assert cell_root.p is None and mid_root.p is not None
+    for root in (cell_root, mid_root):
+        assert sorted(word for _, word in _trie_nodes(root)) == [(), (1,), (5,)]
+
+
+def test_sibling_bisections_share_their_parent_word(monkeypatch):
+    # sibling digit extensions that both bisect walk the same parent word
+    # over the same half-cell: the later walk steps only its last digit
+    params = SystemParams.classical(6, 0.6)
+    cell = Interval(0.0, 1 / 36)
+    calls = _record_trie(monkeypatch)
+    task = CertTask(params, 1, cell, ((1,), (5,)), 1e-3, 1e-3, Budget(max_nodes=1000))
+    assert certify_pair(task).reason == "depth budget"
+    walked: dict = {}
+    shared = 0
+    for start, digits, _, steps in calls:
+        if start.n != 0 or len(digits) < 2:
+            continue
+        parent = (id(start), digits[:-1])
+        if parent in walked:
+            assert steps <= 1, digits
+            shared += 1
+        walked.setdefault(parent, steps)
+    assert shared > 0
+    assert max(walked.values()) >= 2  # the first walk of a parent word
 
 
 # -- closed-form pruning quantities ---------------------------------------

@@ -6,14 +6,16 @@ import pytest
 from mpmath import mp, mpf
 
 from skewcert.interval import (
+    _TURN_LIMIT,
     Interval,
-    _fast_cos_pair,
-    _fast_sin_pair,
+    _fast_sincos_pair,
     cos2pi,
     cos2pi_point,
     sin2pi,
     sin2pi_point,
 )
+
+from _oracles import fast_cos_pair, fast_sin_pair
 
 mp.prec = 200
 
@@ -177,8 +179,9 @@ def test_trig_containment_near_integers():
 
 
 def test_fast_trig_pair_containment():
-    # the padded kernels behind TrigPoly.eval_iv, and so behind every
-    # certificate: mid-range, near-integer (also negative) and huge arguments
+    # the padded kernel behind TrigPoly.eval_iv and Chain.step, and so
+    # behind every certificate: mid-range, near-integer (also negative) and
+    # huge arguments
     rnd = random.Random(11)
     for i in range(20000):
         kind = i % 3
@@ -189,12 +192,40 @@ def test_fast_trig_pair_containment():
         else:
             lo = rnd.choice([1, -1]) * 2.0 ** rnd.uniform(0, 49)
         hi = lo + rnd.choice([0.0, 10 ** rnd.uniform(-17, 0.3)])
-        s_lo, s_hi = _fast_sin_pair(lo, hi)
-        c_lo, c_hi = _fast_cos_pair(lo, hi)
+        s_lo, s_hi, c_lo, c_hi = _fast_sincos_pair(lo, hi)
         assert -1.0 <= s_lo <= s_hi <= 1.0 and -1.0 <= c_lo <= c_hi <= 1.0
         for t in (lo, hi, rnd.uniform(lo, hi)):
             assert s_lo <= _sin2pi_oracle(t) <= s_hi, (lo, hi, t)
             assert c_lo <= _sin2pi_oracle(t, Fraction(1, 4)) <= c_hi, (lo, hi, t)
+
+
+def _sincos_cases(rnd):
+    # quarter-turn lattice points and their neighbours one ulp away, on
+    # both sides of zero, up to and past 2^50 turns, at widths 0 to 1.5
+    for _ in range(3000):
+        m = rnd.randint(-400, 400) / 4
+        yield m + rnd.choice([-1, 0, 1]) * math.ulp(m), 0.0
+        big = rnd.choice([1, -1]) * (_TURN_LIMIT + rnd.randint(-8, 8) * 0.25)
+        yield big, 0.0
+        yield -rnd.uniform(0, 8), 10 ** rnd.uniform(-17, 0)
+        yield rnd.choice([1, -1]) * 2.0 ** rnd.uniform(40, 50.5), 10 ** rnd.uniform(-6, 0)
+        yield rnd.uniform(-8, 8), rnd.uniform(1.0, 1.5)
+        yield rnd.uniform(-8, 8), math.nextafter(1.0, 0.0)
+    for m in (0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0):
+        for lo in (math.nextafter(m, -1.0), m, math.nextafter(m, 1.0)):
+            for width in (0.0, 0.25, 0.5, 0.75, 1.0):
+                yield lo, width
+
+
+def test_fast_sincos_pair_matches_per_function_pairs():
+    # one floor per endpoint and two crossing candidates must give the bits
+    # of separate sin and cos pairs, each with its own reduction and search
+    rnd = random.Random(23)
+    for lo, width in _sincos_cases(rnd):
+        for hi in (lo + width, math.nextafter(lo + width, math.inf)):
+            got = _fast_sincos_pair(lo, hi)
+            want = fast_sin_pair(lo, hi) + fast_cos_pair(lo, hi)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (lo, hi)
 
 
 def test_trig_monotone_span_tightness():

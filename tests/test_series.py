@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from skewcert.interval import Interval, _fast_cos_pair, _fast_sin_pair
+from skewcert.interval import Interval
 from skewcert.series import (
     Chain,
     Code,
@@ -26,7 +26,7 @@ from skewcert.series import (
     x_of_word,
 )
 
-from _oracles import s_partial, s_prime_partial
+from _oracles import fast_cos_pair, fast_sin_pair, s_partial, s_prime_partial
 
 # direct high-precision summation oracle results, frozen
 # (classical psi, b=2, gamma=0.6, x=1, prefix of 20 zeros)
@@ -248,8 +248,8 @@ def test_series_sums_agree_with_chain(p27):
 def _psi_oracle(poly, z):
     # the scalar Interval kernel: each active harmonic's padded fast-trig
     # enclosure times its coefficient, cosines then sines by ascending k
-    terms = [(a, k, _fast_cos_pair) for k, a in enumerate(poly.cos_coeffs, start=1)]
-    terms += [(s, k, _fast_sin_pair) for k, s in enumerate(poly.sin_coeffs, start=1)]
+    terms = [(a, k, fast_cos_pair) for k, a in enumerate(poly.cos_coeffs, start=1)]
+    terms += [(s, k, fast_sin_pair) for k, s in enumerate(poly.sin_coeffs, start=1)]
     acc = None
     for coeff, k, pair in terms:
         if coeff.mag() != 0.0:

@@ -1,0 +1,133 @@
+"""Byte gate: run the comparison systems through the CLI in two source trees
+and compare everything they write.
+
+    python3 tools/byte_gate.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of this repository.  Each system runs as
+`python3 -m skewcert.cli ... --out out` with PYTHONPATH=<tree>/src, in a
+fresh temporary directory per tree, two runs at a time.  The systems are
+the 18 certify verdicts (the certify-b6 and ladder-b2 benchmark systems,
+and b = 6, 8, 12 at gamma = 0.2, 0.5, 0.9 with q <= 1) and the b = 6
+sweep; a last run prints
+a digest of the chain bits of random walks (b = 2, 3, 6, 12; the classical
+psi and a four-harmonic one).  Every artifact is compared byte for byte,
+`manifest.json` apart from its `timing_s`, and so are stdout, stderr and
+the exit code.  Prints one line per system and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+LADDER_B2 = ((0.98, 1), (0.75, 1), (0.68, 2), (0.6, 2), (0.55, 3), (0.52, 1))
+
+SYSTEMS = (
+    [(f"certify b=6 gamma={g}", ["certify", "--b", "6", "--gamma", str(g), "--qmax", "1"])
+     for g in (0.45, 0.6, 0.7)]
+    + [(f"certify b=2 gamma={g} q<={q}",
+        ["certify", "--b", "2", "--gamma", str(g), "--qmax", str(q)])
+       for g, q in LADDER_B2]
+    + [(f"certify b={b} gamma={g}",
+        ["certify", "--b", str(b), "--gamma", str(g), "--qmax", "1"])
+       for b in (6, 8, 12) for g in (0.2, 0.5, 0.9)]
+    + [("sweep b=6 gamma=0.3..0.9",
+        ["sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.9",
+         "--gamma-step", "0.3", "--qmax", "1", "--threads", "2"])]
+)
+
+DIGEST = """
+import hashlib, random
+from skewcert.interval import Interval
+from skewcert.series import Chain, SystemParams, TrigPoly
+
+four = TrigPoly.from_floats(cos=[0.3, 0.0, -1.2, 0.05], sin=[0.7, 0.25, 0.0, 0.1])
+h = hashlib.sha256()
+for b in (2, 3, 6, 12):
+    for psi in (None, four):
+        params = SystemParams.classical(b, 0.9) if psi is None else SystemParams(b, 0.9, psi)
+        rnd = random.Random(b)
+        for _ in range(500):
+            lo = rnd.uniform(-0.5, 1.0)
+            x = Interval(lo, lo + (0.0 if rnd.random() < 0.5 else 10 ** rnd.uniform(-9, 0)))
+            w = tuple(rnd.randrange(b) for _ in range(rnd.randrange(0, 21)))
+            for value in (True, False):
+                c = Chain.root(x, value).walk(params, w)
+                p = None if c.p is None else (c.p.lo, c.p.hi)
+                h.update(repr((p, c.dp.lo, c.dp.hi, c.z.lo, c.z.hi, c.n)).encode())
+            e = params.psi.eval_iv(x)
+            h.update(repr((e.lo, e.hi)).encode())
+print(h.hexdigest())
+"""
+
+
+def _run(tree: Path, argv: list[str], where: Path) -> dict:
+    """One CLI run (or the digest, for argv None) in its own directory."""
+    where.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    cmd = [sys.executable, "-c", DIGEST] if argv is None else (
+        [sys.executable, "-m", "skewcert.cli", *argv, "--out", "out"]
+    )
+    done = subprocess.run(cmd, cwd=where, env=env, capture_output=True)
+    out = where / "out"
+    files = {}
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                manifest.pop("timing_s", None)
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[path.name] = data
+    return {"rc": done.returncode, "stdout": done.stdout, "stderr": done.stderr, "files": files}
+
+
+def _differences(a: dict, b: dict) -> list[str]:
+    out = [key for key in ("rc", "stdout", "stderr") if a[key] != b[key]]
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(name) != b["files"].get(name):
+            out.append(name)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (tree / "src" / "skewcert").is_dir():
+            ap.error(f"{tree} has no src/skewcert")
+    work = Path(tempfile.mkdtemp(prefix="byte_gate_"))
+    systems = [*SYSTEMS, ("chain-bits digest", None)]
+    jobs = [
+        (i, side, tree, cli_args)
+        for i, (_, cli_args) in enumerate(systems)
+        for side, tree in (("parent", args.parent), ("change", args.change))
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(
+            lambda job: _run(job[2], job[3], work / f"{job[0]:02d}-{job[1]}"), jobs
+        ))
+    failed = 0
+    for i, (name, _) in enumerate(systems):
+        diff = _differences(results[2 * i], results[2 * i + 1])
+        rc = results[2 * i + 1]["rc"]
+        print(f"{'DIFF' if diff else 'same'}  {name}  (exit {rc})" + (
+            f": {', '.join(diff)}" if diff else ""
+        ))
+        failed += bool(diff)
+    shutil.rmtree(work, ignore_errors=True)
+    print(f"byte gate: {failed} of {len(systems)} systems differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
