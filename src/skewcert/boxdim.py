@@ -3,6 +3,19 @@
 The graph is sampled on a dyadic x-grid; each sampled value carries a
 truncation-tail halfwidth, so per-column vertical ranges err on the wide
 side and box counts are over-counts by at most the straddled rows.
+
+`sample_graph` evaluates phi once, on the grid itself, and moves those
+values along instead of evaluating phi again. Its n-th term needs
+phi(b^n x mod 1) at each grid point x = j / 2^m, and in floats each step
+x -> b x mod 1 is exact while b 2^m <= 2^53: x b = (j b) / 2^m has an
+integer numerator below 2^53, and taking it mod 1 subtracts an integer.
+So the n-th argument at grid index j is exactly the grid point with index
+j b mod 2^m of the (n-1)-th argument, and the n-th phi values are the
+(n-1)-th ones read at j b mod 2^m: bit for bit entries of the first
+table. Summed in series order, they give the plain series loop's values.
+Read at j b mod 2^m, the grid splits into b runs of consecutive j, each
+a stride-b slice, so every step is b strided copies rather than a
+gather at scattered indices.
 """
 
 from __future__ import annotations
@@ -54,19 +67,26 @@ def sample_graph(
 ) -> GraphSample:
     """Evaluate f(x) = sum lam^n phi(b^n x) on the 2^m dyadic grid."""
     theoretical_D(lam, b)  # validates (lam, b)
+    if not (isinstance(m, int) and m >= 0 and b << m <= 1 << 53):
+        raise ValueError(f"m must be an integer with 0 <= m and b 2^m <= 2^53, got {m!r}")
     phi = classical_phi() if phi is None else phi
     if depth is None:
         # tail below one thousandth of the finest interesting scale
         depth = max(8, int(math.ceil(math.log(1e-7 * (1 - lam)) / math.log(lam))))
     n = 1 << m
-    x = np.arange(n) / n
+    cur = phi.eval_np(np.arange(n) / n)
+    nxt = np.empty(n)
+    term = np.empty(n)
     acc = np.zeros(n)
+    # grid indices j in [lo[k], lo[k + 1]) read index b j - k n
+    lo = [-(-k * n // b) for k in range(b + 1)]
     g = 1.0
-    arg = x.copy()
     for _ in range(depth):
-        acc += g * phi.eval_np(arg)
-        # dyadic grid points have exact base-b doubling mod 1
-        arg = np.mod(arg * b, 1.0)
+        np.multiply(cur, g, out=term)
+        acc += term
+        for k in range(b):
+            nxt[lo[k] : lo[k + 1]] = cur[b * lo[k] - k * n :: b][: lo[k + 1] - lo[k]]
+        cur, nxt = nxt, cur
         g *= lam
     phi_sup = phi.sup_bound()
     tail = weierstrass_tail(lam, phi_sup, depth)
@@ -152,16 +172,19 @@ def graph_mu_local_dim(
     rng = np.random.default_rng(seed)
     centers = rng.integers(0, n, size=n_centers)
     vals = sample.values
-    log_means = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        w = int(math.floor(r * n))
-        masses = np.empty(n_centers)
-        for t, c in enumerate(centers):
+    widths = [int(math.floor(r * n)) for r in radii]
+    masses = np.empty((radii.size, n_centers))
+    for t, c in enumerate(centers):
+        # one distance pass over the widest window; each radius counts on
+        # its own sub-window of it
+        lo0 = max(0, c - widths[0])
+        dist = vals[lo0 : min(n, c + widths[0] + 1)] - vals[c]
+        np.abs(dist, out=dist)
+        for i, (r, w) in enumerate(zip(radii, widths)):
             lo = max(0, c - w)
             hi = min(n, c + w + 1)
-            seg = vals[lo:hi]
-            masses[t] = np.count_nonzero(np.abs(seg - vals[c]) <= r) / n
-        log_means[i] = float(np.mean(np.log(masses)))
+            masses[i, t] = np.count_nonzero(dist[lo - lo0 : hi - lo0] <= r) / n
+    log_means = np.array([float(np.mean(np.log(row))) for row in masses])
     xs = np.log(radii)
     slope, half = _ols_slope_ci(xs, log_means)
     return RegressionResult(slope, slope - half, slope + half, radii, log_means, n_centers)

@@ -298,7 +298,7 @@ def cmd_measure(cfg: dict, out: Path) -> int:
             cfg.get("srb_iters", 2000),
             cfg.get("srb_burn_in", 500),
             seed=seed,
-            bins=tuple(cfg.get("srb_bins", (64, 64))),
+            bins=cfg.get("srb_bins", (64, 64)),
         )
         hdr = (
             f"# srb histogram b={params.b} gamma={params.gamma!r} seed={seed} "

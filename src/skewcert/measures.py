@@ -83,8 +83,11 @@ def sample_mx(
         acc = np.zeros(n_samples)
         g = 1.0
         for _ in range(depth):
-            z = (z + rng.integers(0, b, size=n_samples)) / b
-            acc += g * _psi_np(params, z)
+            z += rng.integers(0, b, size=n_samples)
+            z /= b
+            term = _psi_np(params, z)
+            term *= g
+            acc += term
             g *= gamma
         masses = np.full(n_samples, 1.0 / n_samples)
     else:
@@ -305,6 +308,12 @@ def srb_sample(
     """Histogram of post-burn-in orbits of (x, y) -> (b x mod 1, gamma y + psi(x))."""
     if n_iter <= burn_in:
         raise ValueError("n_iter must exceed burn_in")
+    if not (
+        isinstance(bins, (tuple, list))
+        and len(bins) == 2
+        and all(isinstance(k, int) and k >= 1 for k in bins)
+    ):
+        raise ValueError(f"bins must be two integers >= 1, got {bins!r}")
     rng = np.random.default_rng(seed)
     y_max = max(params.psi_sup / (1.0 - params.gamma), 1e-9)  # psi = 0 degenerates
     x = rng.random(n_points)
@@ -312,13 +321,30 @@ def srb_sample(
     nx, ny = bins
     x_edges = np.linspace(0.0, 1.0, nx + 1)
     y_edges = np.linspace(-y_max, y_max, ny + 1)
-    counts = np.zeros((nx, ny), dtype=np.int64)
+    flat = np.zeros(nx * ny, dtype=np.int64)
+    kick = np.empty(n_points)
+    yc = np.empty(n_points)
     noise = 2.0**-45  # refresh the bits float doubling shifts out, else
     # every orbit of b x mod 1 collapses onto 0 after ~53 steps
     for it in range(n_iter):
-        y = params.gamma * y + _psi_np(params, x)
-        x = (params.b * x + noise * rng.random(n_points)) % 1.0
+        y *= params.gamma
+        y += _psi_np(params, x)
+        x *= params.b
+        rng.random(out=kick)
+        kick *= noise
+        x += kick
+        np.mod(x, 1.0, out=x)
         if it >= burn_in:
-            h, _, _ = np.histogram2d(x, np.clip(y, -y_max, y_max), bins=(x_edges, y_edges))
-            counts += h.astype(np.int64)
+            # bin i holds edges[i] <= v < edges[i + 1], and the last bin also
+            # its right edge (np.histogram2d's rule; x < 1 and y is clipped,
+            # so no point falls outside)
+            np.clip(y, -y_max, y_max, out=yc)
+            ix = np.searchsorted(x_edges, x, side="right") - 1
+            iy = np.searchsorted(y_edges, yc, side="right") - 1
+            np.minimum(ix, nx - 1, out=ix)
+            np.minimum(iy, ny - 1, out=iy)
+            ix *= ny
+            ix += iy
+            flat += np.bincount(ix, minlength=nx * ny)
+    counts = flat.reshape(nx, ny)
     return SRBHistogram(counts, x_edges, y_edges, seed, n_points, n_iter, burn_in)

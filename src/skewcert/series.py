@@ -121,16 +121,20 @@ class TrigPoly:
         return Interval(*_sum_terms(self._terms, _trig_table(self._harmonics, x.lo, x.hi)))
 
     def eval_np(self, x: np.ndarray) -> np.ndarray:
-        """Fast float evaluation (midpoint coefficients, no rigor)."""
+        """Fast float evaluation (midpoint coefficients, no rigor).
+
+        Each term is computed into one scratch array and added into the
+        result in the order cosines, then sines, each by ascending k."""
         out = np.zeros_like(x, dtype=float)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            m = a.mid()
-            if m != 0.0:
-                out += m * np.cos((2.0 * math.pi * k) * x)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            m = b.mid()
-            if m != 0.0:
-                out += m * np.sin((2.0 * math.pi * k) * x)
+        term = np.empty_like(out)
+        for trig, coeffs in ((np.cos, self.cos_coeffs), (np.sin, self.sin_coeffs)):
+            for k, c in enumerate(coeffs, start=1):
+                m = c.mid()
+                if m != 0.0:
+                    np.multiply(x, 2.0 * math.pi * k, out=term)
+                    trig(term, out=term)
+                    term *= m
+                    out += term
         return out
 
 

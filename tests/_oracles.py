@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from skewcert.interval import _FAST_PAD, _TURN_LIMIT, PI2_HI, _has_crossing
-from skewcert.series import SystemParams, tail_value, tail_deriv
+from skewcert.series import SystemParams, TrigPoly, tail_value, tail_deriv
 
 
 def psi_point(params: SystemParams, x):
@@ -191,3 +191,100 @@ def fast_sin_pair(lo: float, hi: float) -> tuple[float, float]:
 def fast_cos_pair(lo: float, hi: float) -> tuple[float, float]:
     """Padded enclosure endpoints of cos(2 pi .) over [lo, hi]."""
     return _fast_pair(_fast_cos_point, 0.0, 0.5, lo, hi)
+
+
+# -- plain numpy lanes ---------------------------------------------------
+#
+# The numpy lanes as straight loops that allocate every intermediate: a
+# fresh array per trig term, the graph argument stepped by np.mod, and
+# np.histogram2d for the SRB counts. The library's table gathers, in-place
+# updates and flat bincount binning must give these bytes.
+
+
+def trig_eval_plain(poly: TrigPoly, x) -> np.ndarray:
+    """Midpoint float value of a TrigPoly, one temporary per term."""
+    out = np.zeros_like(x, dtype=float)
+    for k, a in enumerate(poly.cos_coeffs, start=1):
+        m = a.mid()
+        if m != 0.0:
+            out += m * np.cos((2.0 * math.pi * k) * x)
+    for k, b in enumerate(poly.sin_coeffs, start=1):
+        m = b.mid()
+        if m != 0.0:
+            out += m * np.sin((2.0 * math.pi * k) * x)
+    return out
+
+
+def graph_values_plain(lam: float, b: int, m: int, depth: int, phi: TrigPoly) -> np.ndarray:
+    """sum_n lam^n phi(b^n x) on the 2^m grid, phi evaluated afresh per term."""
+    n = 1 << m
+    arg = np.arange(n) / n
+    acc = np.zeros(n)
+    g = 1.0
+    for _ in range(depth):
+        acc += g * trig_eval_plain(phi, arg)
+        arg = np.mod(arg * b, 1.0)
+        g *= lam
+    return acc
+
+
+def fiber_atoms_plain(
+    params: SystemParams, x: float, depth: int, mode: str, n_samples=None, seed=None
+) -> np.ndarray:
+    """Sorted atom locations of the depth-N fiber measure ("exact" or "mc")."""
+    b = params.b
+    g = 1.0
+    if mode == "exact":
+        z = np.array([float(x)])
+        acc = np.zeros(1)
+        digits = np.arange(b, dtype=float)
+        for _ in range(depth):
+            z = ((z[:, None] + digits) / b).ravel()
+            acc = np.repeat(acc, b) + g * trig_eval_plain(params.psi, z)
+            g *= params.gamma
+    else:
+        rng = np.random.default_rng(seed)
+        z = np.full(n_samples, float(x))
+        acc = np.zeros(n_samples)
+        for _ in range(depth):
+            z = (z + rng.integers(0, b, size=n_samples)) / b
+            acc += g * trig_eval_plain(params.psi, z)
+            g *= params.gamma
+    return acc[np.argsort(acc, kind="stable")]
+
+
+def srb_counts_plain(
+    params: SystemParams, n_points: int, n_iter: int, burn_in: int, seed: int, bins
+) -> np.ndarray:
+    """SRB orbit counts binned by np.histogram2d, fresh arrays every step."""
+    rng = np.random.default_rng(seed)
+    y_max = max(params.psi_sup / (1.0 - params.gamma), 1e-9)
+    x = rng.random(n_points)
+    y = np.zeros(n_points)
+    nx, ny = bins
+    x_edges = np.linspace(0.0, 1.0, nx + 1)
+    y_edges = np.linspace(-y_max, y_max, ny + 1)
+    counts = np.zeros((nx, ny), dtype=np.int64)
+    for it in range(n_iter):
+        y = params.gamma * y + trig_eval_plain(params.psi, x)
+        x = (params.b * x + 2.0**-45 * rng.random(n_points)) % 1.0
+        if it >= burn_in:
+            h, _, _ = np.histogram2d(x, np.clip(y, -y_max, y_max), bins=(x_edges, y_edges))
+            counts += h.astype(np.int64)
+    return counts
+
+
+def graph_log_means_plain(values: np.ndarray, radii, n_centers: int, seed) -> np.ndarray:
+    """Mean log ball mass of the graph lift per radius (descending), one
+    distance pass per radius and center."""
+    n = values.size
+    centers = np.random.default_rng(seed).integers(0, n, size=n_centers)
+    out = []
+    for r in sorted(radii, reverse=True):
+        w = int(math.floor(r * n))
+        masses = np.empty(n_centers)
+        for t, c in enumerate(centers):
+            seg = values[max(0, c - w) : min(n, c + w + 1)]
+            masses[t] = np.count_nonzero(np.abs(seg - values[c]) <= r) / n
+        out.append(float(np.mean(np.log(masses))))
+    return np.array(out)

@@ -10,6 +10,9 @@ from skewcert.boxdim import (
     sample_graph,
     theoretical_D,
 )
+from skewcert.series import TrigPoly, classical_phi
+
+from _oracles import graph_log_means_plain, graph_values_plain
 
 
 def test_theoretical_D_values():
@@ -126,3 +129,40 @@ def test_graph_sample_global_bound():
     assert np.max(np.abs(s.values)) <= s.phi_sup / (1 - s.lam) + 1e-9
     expect_tail = s.lam**s.depth * s.phi_sup / (1 - s.lam)
     assert s.tail == pytest.approx(expect_tail, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "lam,b,phi",
+    [
+        (0.7, 2, None),
+        (0.5, 3, None),
+        (0.45, 5, None),
+        (0.4, 6, None),
+        (0.6, 2, TrigPoly.from_floats(cos=[0.3, 0.0, -1.2], sin=[0.7, 0.25])),
+        (0.5, 3, TrigPoly.from_floats(cos=[0.0, 0.4], sin=[1.0, 0.0, 0.1])),
+    ],
+)
+def test_sample_graph_matches_plain_series(lam, b, phi):
+    # moving the phi table along b j mod 2^m gives the plain series loop's bytes
+    s = sample_graph(lam, b, 13, phi=phi)
+    plain = graph_values_plain(lam, b, 13, s.depth, phi or classical_phi())
+    assert s.values.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("m", [-1, 2.0, 52, None])
+def test_sample_graph_rejects_bad_m(m):
+    # b 2^m must stay <= 2^53; b = 3 allows m <= 51, which is not run here
+    with pytest.raises(ValueError, match="m must be an integer"):
+        sample_graph(0.5, 3, m)
+
+
+def test_sample_graph_accepts_m_zero():
+    s = sample_graph(0.7, 2, 0, depth=3)
+    assert s.values.tobytes() == graph_values_plain(0.7, 2, 0, 3, classical_phi()).tobytes()
+
+
+def test_graph_local_dim_matches_per_radius_loop():
+    s = sample_graph(0.7, 2, 14)
+    radii = [2.0**-k for k in range(3, 10)]
+    reg = graph_mu_local_dim(s, radii, n_centers=50, seed=4)
+    assert reg.log_means.tobytes() == graph_log_means_plain(s.values, radii, 50, 4).tobytes()

@@ -389,6 +389,26 @@ def test_unusable_config_file_is_invalid_config(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("invalid config: ")
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "srb_bins": [0, 64]},
+        {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "srb_bins": [64.5, 64]},
+        {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "srb_bins": 64},
+        {"lam": 0.7, "b": 2, "m": -1},
+        {"lam": 0.7, "b": 2, "m": 12.5},
+    ],
+)
+def test_bad_srb_bins_or_graph_m_is_invalid_config(tmp_path, capsys, cfg):
+    command = "boxdim" if "m" in cfg else "measure"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("invalid config: ")
+    assert not (tmp_path / "run" / "srb_histogram.csv").exists()
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_out_that_names_a_file_is_an_error(tmp_path, capsys, sub):
     # --out is a regular file, or lies below one

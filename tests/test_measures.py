@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from skewcert.interval import Interval
-from skewcert.series import Code, SystemParams, TrigPoly, eval_S
+from skewcert.series import Code, SystemParams, TrigPoly, classical_psi, eval_S
 from skewcert.measures import (
     AtomicMeasure,
     FiberAffine,
@@ -19,7 +20,7 @@ from skewcert.measures import (
     vertical_scaling_check,
 )
 
-from _oracles import corr_sq_brute, s_partial
+from _oracles import corr_sq_brute, fiber_atoms_plain, s_partial, srb_counts_plain
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,17 @@ def test_sample_mx_mc_seeded(p27):
     # and inside the enclosure of S over all continuations
     s = eval_S(p27, Interval.point(0.3), Code.zeros(p27, 0))
     assert np.all((a.locs >= s.lo) & (a.locs <= s.hi))
+
+
+@pytest.mark.parametrize("b,gamma", [(2, 0.7), (3, 0.5)])
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_sample_mx_matches_plain_loops(b, gamma, mode):
+    # in-place updates give the bytes of the loops that allocate every step
+    params = SystemParams.classical(b, gamma)
+    n_samples = 3000 if mode == "mc" else None
+    mu = sample_mx(params, 0.37, 9, mode=mode, n_samples=n_samples, seed=11)
+    plain = fiber_atoms_plain(params, 0.37, 9, mode, n_samples=n_samples, seed=11)
+    assert mu.locs.tobytes() == plain.tobytes()
 
 
 def test_atoms_inside_series_enclosure(p27):
@@ -303,6 +315,27 @@ def test_srb_slice_matches_fiber_measure(p27):
     tv = 0.5 * float(np.abs(h.column_profile(j) - binned).sum())
     # threshold frozen from the first verified run (~0.08 typical)
     assert tv < 0.2
+
+
+@pytest.mark.parametrize("bins", [(64, 64), (32, 48)])
+def test_srb_counts_match_histogram2d(p27, bins):
+    h = srb_sample(p27, 700, 260, 60, seed=17, bins=bins)
+    assert h.counts.tobytes() == srb_counts_plain(p27, 700, 260, 60, 17, bins).tobytes()
+
+
+def test_srb_counts_match_histogram2d_when_clipped():
+    # psi_sup set below sup |psi|: many orbits leave [-y_max, y_max] and are
+    # clipped onto the outer edges, the upper one binned into the last row
+    params = SimpleNamespace(b=2, gamma=0.8, psi=classical_psi(), psi_sup=1.0)
+    h = srb_sample(params, 500, 200, 50, seed=2, bins=(32, 48))
+    assert h.counts[:, 0].sum() > 0 and h.counts[:, -1].sum() > 0
+    assert h.counts.tobytes() == srb_counts_plain(params, 500, 200, 50, 2, (32, 48)).tobytes()
+
+
+@pytest.mark.parametrize("bins", [(0, 64), (64, -1), (64.0, 64), (64,), (8, 8, 8), 64])
+def test_srb_rejects_bad_bins(p27, bins):
+    with pytest.raises(ValueError, match="bins must be two integers"):
+        srb_sample(p27, 10, 20, 5, seed=0, bins=bins)
 
 
 def test_srb_records_seed(p27):

@@ -26,7 +26,7 @@ from skewcert.series import (
     x_of_word,
 )
 
-from _oracles import fast_cos_pair, fast_sin_pair, s_partial, s_prime_partial
+from _oracles import fast_cos_pair, fast_sin_pair, s_partial, s_prime_partial, trig_eval_plain
 
 # direct high-precision summation oracle results, frozen
 # (classical psi, b=2, gamma=0.6, x=1, prefix of 20 zeros)
@@ -393,6 +393,18 @@ def test_trigpoly_mean_zero_by_construction():
     poly = TrigPoly.from_floats(cos=[0.3, -1.2], sin=[2.0, 0.0, 0.7])
     xs = (np.arange(20000) + 0.5) / 20000
     assert abs(float(np.mean(poly.eval_np(xs)))) < 1e-12
+
+
+def test_trigpoly_eval_np_matches_plain_terms():
+    # the scratch-array sum gives the bytes of one temporary per term
+    xs = np.random.default_rng(5).uniform(-3.0, 3.0, 4097)
+    for poly in (
+        TrigPoly.from_floats(cos=[0.3, -1.2], sin=[2.0, 0.0, 0.7]),
+        TrigPoly.from_floats(sin=[0.0, 1.5]),
+        TrigPoly.zero(),
+    ):
+        for f in (poly, poly.derivative()):
+            assert f.eval_np(xs).tobytes() == trig_eval_plain(f, xs).tobytes()
 
 
 def test_trigpoly_eval_iv_contains_several_harmonics():

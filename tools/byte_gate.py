@@ -7,10 +7,13 @@ PARENT and CHANGE are checkouts of this repository.  Each system runs as
 `python3 -m skewcert.cli ... --out out` with PYTHONPATH=<tree>/src, in a
 fresh temporary directory per tree, two runs at a time.  The systems are
 the 18 certify verdicts (the certify-b6 and ladder-b2 benchmark systems,
-and b = 6, 8, 12 at gamma = 0.2, 0.5, 0.9 with q <= 1) and the b = 6
-sweep; a last run prints
-a digest of the chain bits of random walks (b = 2, 3, 6, 12; the classical
-psi and a four-harmonic one).  Every artifact is compared byte for byte,
+and b = 6, 8, 12 at gamma = 0.2, 0.5, 0.9 with q <= 1), the b = 6 sweep,
+two fiber measures (exact; Monte Carlo with the SRB histogram) and the
+box counts of W(0.7, 2) and W(0.5, 3) with their local dimension.  A last
+run prints sha256 digests of the chain bits of random walks (b = 2, 3, 6,
+12; the classical psi and a four-harmonic one) and of the numpy lanes'
+arrays: graph values, graph local-dimension log means, fiber atoms and
+SRB counts.  Every artifact is compared byte for byte,
 `manifest.json` apart from its `timing_s`, and so are stdout, stderr and
 the exit code.  Prints one line per system and exits 1 on any difference.
 """
@@ -41,6 +44,15 @@ SYSTEMS = (
     + [("sweep b=6 gamma=0.3..0.9",
         ["sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.9",
          "--gamma-step", "0.3", "--qmax", "1", "--threads", "2"])]
+    + [("measure b=2 gamma=0.7 exact",
+        ["measure", "--b", "2", "--gamma", "0.7", "--x", "0.3", "--depth", "12",
+         "--grid", "16", "--seed", "3"]),
+       ("measure b=2 gamma=0.8 mc --srb",
+        ["measure", "--b", "2", "--gamma", "0.8", "--x", "0.3", "--depth", "40",
+         "--mode", "mc", "--samples", "20000", "--grid", "8", "--seed", "5", "--srb"])]
+    + [(f"boxdim W({lam}, {b}) --local-dim",
+        ["boxdim", "--lam", str(lam), "--b", str(b), "--local-dim", "--seed", "7"])
+       for lam, b in ((0.7, 2), (0.5, 3))]
 )
 
 DIGEST = """
@@ -64,7 +76,28 @@ for b in (2, 3, 6, 12):
                 h.update(repr((p, c.dp.lo, c.dp.hi, c.z.lo, c.z.hi, c.n)).encode())
             e = params.psi.eval_iv(x)
             h.update(repr((e.lo, e.hi)).encode())
-print(h.hexdigest())
+print("chain bits", h.hexdigest())
+
+from skewcert.boxdim import graph_mu_local_dim, sample_graph
+from skewcert.measures import sample_mx, srb_sample
+
+lanes = {"graph values": [], "graph log means": [], "fiber atoms": [], "srb counts": []}
+radii = [2.0 ** -k for k in range(3, 10)]
+for lam, b, phi in ((0.7, 2, None), (0.5, 3, None), (0.45, 5, None), (0.6, 2, four)):
+    g = sample_graph(lam, b, 14, phi=phi)
+    lanes["graph values"].append(g.values)
+    lanes["graph log means"].append(graph_mu_local_dim(g, radii, 50, seed=b).log_means)
+for b in (2, 3):
+    for psi in (None, four):
+        params = SystemParams.classical(b, 0.8) if psi is None else SystemParams(b, 0.8, psi)
+        lanes["fiber atoms"].append(sample_mx(params, 0.3, 9).locs)
+        lanes["fiber atoms"].append(
+            sample_mx(params, 0.3, 40, mode="mc", n_samples=5000, seed=b).locs
+        )
+        for bins in ((64, 64), (32, 48)):
+            lanes["srb counts"].append(srb_sample(params, 500, 300, 100, seed=b, bins=bins).counts)
+for name, arrays in lanes.items():
+    print(name, hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
 """
 
 
@@ -106,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (tree / "src" / "skewcert").is_dir():
             ap.error(f"{tree} has no src/skewcert")
     work = Path(tempfile.mkdtemp(prefix="byte_gate_"))
-    systems = [*SYSTEMS, ("chain-bits digest", None)]
+    systems = [*SYSTEMS, ("chain-bits and numpy-lane digest", None)]
     jobs = [
         (i, side, tree, cli_args)
         for i, (_, cli_args) in enumerate(systems)
