@@ -3,7 +3,7 @@ solenoidal skew products of Weierstrass type."""
 
 __version__ = "0.1.0"
 
-from .interval import Interval, cos2pi, sin2pi
+from .interval import Interval
 from .series import (
     Code,
     SystemParams,
@@ -11,12 +11,7 @@ from .series import (
     adding_machine,
     classical_phi,
     classical_psi,
-    eval_G,
     eval_S,
-    eval_S_prime,
-    eval_weierstrass,
-    split_self_similar,
-    x_of_word,
 )
 from .certifier import (
     Budget,
@@ -26,8 +21,6 @@ from .certifier import (
     certify_pair,
     delta_max,
     e_upper,
-    noncohomology_witness,
-    pair_diff_enclosure,
     tangency_graph,
     theta_bound,
 )

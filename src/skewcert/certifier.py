@@ -16,14 +16,13 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from .interval import TWO_PI, Interval, cos2pi, sin2pi
+from .interval import Interval
 from .series import (
     Chain,
-    Code,
     SystemParams,
+    TrigPoly,
     Word,
     check_word,
-    eval_G,
     reflect_word,
     tail_value,
     tail_deriv,
@@ -145,31 +144,6 @@ def _pair_bounds(
             _second_deriv_pair_bound(params),
         )
     return bounds
-
-
-def pair_diff_enclosure(
-    params: SystemParams,
-    cell: Interval,
-    ka: Word,
-    lb: Word,
-) -> tuple[Interval, Interval]:
-    """Enclosures of {S(x, ka.u) - S(x, lb.v)} and the derivative analogue
-    over all x in the cell and all continuation pairs (u, v)."""
-    ka = check_word(params.b, ka)
-    lb = check_word(params.b, lb)
-    if len(ka) != len(lb):
-        raise ValueError("extended words must have equal length")
-    n = len(ka)
-    tv = 2.0 * tail_value(params, n)
-    td = 2.0 * tail_deriv(params, n)
-    if ka == lb:
-        # identical prefixes cancel pointwise; only the tails remain
-        return Interval(-tv, tv), Interval(-td, td)
-    ca = Chain.root(cell).walk(params, ka)
-    cb = Chain.root(cell).walk(params, lb)
-    val = (ca.p - cb.p).widen(tv)
-    der = (ca.dp - cb.dp).widen(td)
-    return val, der
 
 
 def certify_pair(task: CertTask) -> Certificate:
@@ -521,13 +495,12 @@ def delta_max(
         raise ValueError("b must be a positive integer")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    g = Interval.point(gamma)
-
-    def f(s: Interval) -> Interval:
-        return sin2pi(s.scale(float(b))) + g * sin2pi(s)
-
-    def df(s: Interval) -> Interval:
-        return TWO_PI * (cos2pi(s.scale(float(b))).scale(float(b)) + g * cos2pi(s))
+    # f(s) = sin 2 pi b s + gamma sin 2 pi s: harmonics b and 1, which add at b = 1
+    one, g = Interval.point(1.0), Interval.point(gamma)
+    sin = [one + g] if b == 1 else [g] + [Interval.point(0.0)] * (b - 2) + [one]
+    poly = TrigPoly(sin_coeffs=sin)
+    f = poly.eval_iv
+    df = poly.derivative().eval_iv
 
     active = [Interval(0.0, 1.0)]
     best_lo = -math.inf
@@ -575,76 +548,3 @@ def theta_bound(which: int, b: int, gamma: float) -> float:
         base = (b * math.sin(2.0 * math.pi / b)) ** 2
         arg = base - 4.0 * ratio**2
     return math.sqrt(max(0.0, arg))
-
-
-# ---------------------------------------------------------------------
-# non-cohomology witness
-
-
-class WitnessNotFound(RuntimeError):
-    """No grid point produced a certified positive G-gap (inconclusive)."""
-
-
-@dataclass(frozen=True)
-class NoncohomologyWitness:
-    x1: float
-    gap: float      # certified lower bound for |G(x1, 000...) - G(x1, 100...)| = 5 delta
-    delta: float    # gap / 5
-    n1: int
-    gamma1: float
-
-
-def noncohomology_witness(
-    params: SystemParams, grid: int = 512, depth: int = 40
-) -> NoncohomologyWitness:
-    """Search for the witness data of the one-missing-pair criterion.
-
-    Grid-maximizes the certified lower bound of |G(x, 000...) - G(x, 100...)|
-    and derives the depth N1 and threshold gamma1 satisfying
-    2C < delta b^N1 (b-1) and (1 - gamma1^N1) C < delta b (b-1), C = sup|psi'|.
-    """
-    b = params.b
-    code0 = Code.make(params, (0,) * depth)
-    code1 = Code.make(params, (1,) + (0,) * (depth - 1))
-    best_lb = 0.0
-    best_x = None
-    for j in range(grid):
-        x = Interval.point((j + 0.5) / grid)
-        gap_iv = eval_G(params, x, code0) - eval_G(params, x, code1)
-        lb = gap_iv.abs_lower_bound()
-        if lb > best_lb:
-            best_lb = lb
-            best_x = x.lo
-    if best_x is None or best_lb <= 0.0:
-        raise WitnessNotFound(
-            f"no certified positive G-gap on a {grid}-point grid at depth {depth}"
-        )
-    delta = best_lb / 5.0
-    c = params.dpsi_sup
-    n1 = 1
-    while not 2.0 * c < delta * b**n1 * (b - 1):
-        n1 += 1
-        if n1 > 4000:
-            raise WitnessNotFound("no feasible N1 below 4000")
-    target = delta * b * (b - 1)
-    if c < target:
-        gamma1 = 0.0
-    else:
-        gamma1 = (1.0 - target / c) ** (1.0 / n1)
-        while not (1.0 - gamma1**n1) * c < target:
-            gamma1 = gamma1 + (1.0 - gamma1) * 1e-9
-            if gamma1 >= 1.0:
-                raise WitnessNotFound("gamma1 threshold degenerate")
-    return NoncohomologyWitness(best_x, best_lb, delta, n1, gamma1)
-
-
-# ---------------------------------------------------------------------
-# graph symmetry helper (odd psi)
-
-
-def reflected_pairs(graph: PairGraph, j: int) -> set[tuple[Word, Word]]:
-    """Image of cell j's pair set under digit reflection (odd-psi symmetry)."""
-    return {
-        (reflect_word(graph.b, k), reflect_word(graph.b, l))
-        for (k, l) in graph.unresolved[j]
-    }

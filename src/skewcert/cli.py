@@ -73,9 +73,14 @@ def _make_params(cfg: dict) -> SystemParams:
         psi = classical_psi()
     elif psi_spec == "zero":
         psi = TrigPoly.zero()
-    else:
+    elif isinstance(psi_spec, dict):
         psi = TrigPoly.from_floats(
             cos=psi_spec.get("cos", ()), sin=psi_spec.get("sin", ())
+        )
+    else:
+        raise ValueError(
+            f"psi must be 'classical', 'zero' or an object of cos and sin lists, "
+            f"got {psi_spec!r}"
         )
     return SystemParams(b=cfg["b"], gamma=cfg["gamma"], psi=psi)
 
@@ -244,6 +249,18 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     artifacts = []
     report = _report(cfg)
 
+    # sampled first, so that bad SRB settings fail before any artifact is written
+    hist = None
+    if cfg.get("srb", False):
+        hist = srb_sample(
+            params,
+            cfg.get("srb_points", 2000),
+            cfg.get("srb_iters", 2000),
+            cfg.get("srb_burn_in", 500),
+            seed=seed,
+            bins=cfg.get("srb_bins", (64, 64)),
+        )
+
     mu = sample_mx(params, x, depth, mode=mode, n_samples=n_samples, seed=seed)
     report["atoms"] = {
         "n": mu.n_atoms,
@@ -291,15 +308,7 @@ def cmd_measure(cfg: dict, out: Path) -> int:
         else:
             report["local_dim"] = {"error": "all requested radii inside truncation blur"}
 
-    if cfg.get("srb", False):
-        hist = srb_sample(
-            params,
-            cfg.get("srb_points", 2000),
-            cfg.get("srb_iters", 2000),
-            cfg.get("srb_burn_in", 500),
-            seed=seed,
-            bins=cfg.get("srb_bins", (64, 64)),
-        )
+    if hist is not None:
         hdr = (
             f"# srb histogram b={params.b} gamma={params.gamma!r} seed={seed} "
             f"rng={hist.rng_kind} points={hist.n_points} iters={hist.n_iter} "
@@ -361,7 +370,7 @@ def cmd_selftest() -> int:
     """Small invariant battery; prints one line per check."""
     import random
 
-    from .interval import Interval, sin2pi
+    from .interval import Interval, _fast_sincos_pair
     from .series import Code, adding_machine, eval_S
     from .certifier import CertTask, certify_pair, tangency_graph
     from .measures import AtomicMeasure, corr_sq_norm, vertical_scaling_check
@@ -378,11 +387,10 @@ def cmd_selftest() -> int:
     ok = True
     for _ in range(20000):
         lo = rnd.uniform(-3, 3)
-        w = 10 ** rnd.uniform(-12, 0)
-        X = Interval(lo, lo + w)
-        t = rnd.uniform(X.lo, X.hi)
-        s = sin2pi(X)
-        if not (s.lo <= math.sin(2 * math.pi * t) + 3e-16 and s.hi >= math.sin(2 * math.pi * t) - 3e-16):
+        hi = lo + 10 ** rnd.uniform(-12, 0)
+        t = rnd.uniform(lo, hi)
+        s_lo, s_hi, _, _ = _fast_sincos_pair(lo, hi)
+        if not (s_lo <= math.sin(2 * math.pi * t) + 3e-16 and s_hi >= math.sin(2 * math.pi * t) - 3e-16):
             ok = False
             break
     check("interval trig inclusion (float reference)", ok)

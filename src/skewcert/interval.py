@@ -3,9 +3,9 @@
 Endpoints are ordinary doubles.  Every operation nudges its result
 endpoints outward with ``math.nextafter`` so the returned interval
 contains the exact image of the inputs; directed rounding modes are not
-assumed.  Trigonometric enclosures work on arguments measured in
-*turns* (periods), so ``sin2pi([0.25, 0.25])`` is an enclosure of
-sin(pi/2) and the argument reduction x mod 1 is exact for |x| < 2^52.
+assumed.  The trig enclosure `_fast_sincos_pair` works on arguments
+measured in *turns* (periods): over [0.25, 0.25] it encloses sin(pi/2),
+and the argument reduction x mod 1 is exact for |x| < 2^52.
 """
 
 from __future__ import annotations
@@ -13,15 +13,9 @@ from __future__ import annotations
 import math
 
 _INF = math.inf
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
-# double-double split of 2*pi: PI2_HI + PI2_LO matches 2*pi to ~107 bits
+# 2*pi rounded to the nearest double
 PI2_HI = 6.283185307179586
-PI2_LO = 2.4492935982947064e-16
-
-# trig kernel evaluation error is below 1.1 ulp on glibc (libm sin/cos is
-# ~0.51 ulp here); a 2 ulp outward nudge therefore guarantees containment
-_TRIG_NUDGE = 2
 
 # beyond 2^50 turns the critical-point lattice k +/- 1/4 stops being
 # exactly representable; the enclosure degrades to [-1, 1]
@@ -34,13 +28,6 @@ def _up(x: float) -> float:
 
 def _down(x: float) -> float:
     return math.nextafter(x, -_INF)
-
-
-def _nudge_out(lo: float, hi: float, n: int) -> tuple[float, float]:
-    for _ in range(n):
-        lo = _down(lo)
-        hi = _up(hi)
-    return lo, hi
 
 
 class Interval:
@@ -190,124 +177,12 @@ class Interval:
         return Interval(self.lo, m), Interval(m, self.hi)
 
 
-# -- trig kernels -----------------------------------------------------
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """Exact product a*b = p + e (Dekker/Veltkamp)."""
-    p = a * b
-    c = _SPLIT * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLIT * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, e
-
-
-def _core_sin(t: float, err: float) -> float:
-    """sin(2*pi*(t + err)) for t in [0, 0.25] and |err| at ulp scale."""
-    p, e = _two_prod(PI2_HI, t)
-    corr = (e + PI2_LO * t) + PI2_HI * err
-    return math.sin(p) + corr * math.cos(p)
-
-
-def _core_cos(t: float, err: float) -> float:
-    """cos(2*pi*(t + err)) for t in [0, 0.25]."""
-    p, e = _two_prod(PI2_HI, t)
-    corr = (e + PI2_LO * t) + PI2_HI * err
-    return math.cos(p) - corr * math.sin(p)
-
-
-def _reduce_turn(x: float) -> tuple[float, float]:
-    """x mod 1 as an exact pair (r, err), r in [0, 1], r + err = x - floor(x).
-
-    For negative x the subtraction x - floor(x) can round; the residual is
-    recovered with a two_sum so callers stay accurate near the zeros of sin.
-    """
-    n = math.floor(x)
-    r = x - n
-    b = r - x
-    err = (x - (r - b)) + ((-n) - b)
-    return r, err
-
-
-def sin2pi_point(x: float) -> float:
-    """Nearly correctly rounded sin(2*pi*x); x in turns."""
-    r, err = _reduce_turn(x)
-    # quadrant folding with exact (Sterbenz) shifts
-    if r <= 0.25:
-        return _core_sin(r, err)
-    if r <= 0.5:
-        return _core_sin(0.5 - r, -err)
-    if r <= 0.75:
-        return -_core_sin(r - 0.5, err)
-    return -_core_sin(1.0 - r, -err)
-
-
-def cos2pi_point(x: float) -> float:
-    """Nearly correctly rounded cos(2*pi*x); x in turns."""
-    r, err = _reduce_turn(x)
-    if r < 0.25:
-        return _core_cos(r, err)
-    if r <= 0.5:
-        return -_core_sin(r - 0.25, err)
-    if r <= 0.75:
-        return -_core_cos(r - 0.5, err)
-    return _core_sin(r - 0.75, err)
-
-
-def _has_crossing(lo: float, hi: float, offset: float) -> bool:
-    """Is there an integer n with lo <= n + offset <= hi?"""
-    n = math.floor(lo - offset)
-    # at most a couple of candidates since hi - lo < 1
-    for k in (n, n + 1, n + 2):
-        if lo <= k + offset <= hi:
-            return True
-    return False
-
-
-def sin2pi(x: Interval) -> Interval:
-    """Enclosure of {sin(2*pi*t) : t in x}; x in turns."""
-    lo, hi = x.lo, x.hi
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("sin2pi wants finite endpoints")
-    if hi - lo >= 1.0 or abs(lo) >= _TURN_LIMIT or abs(hi) >= _TURN_LIMIT:
-        return Interval(-1.0, 1.0)
-    slo = sin2pi_point(lo)
-    shi = sin2pi_point(hi)
-    rlo, rhi = _nudge_out(min(slo, shi), max(slo, shi), _TRIG_NUDGE)
-    if _has_crossing(lo, hi, 0.25):
-        rhi = 1.0
-    if _has_crossing(lo, hi, 0.75):
-        rlo = -1.0
-    return Interval(max(rlo, -1.0), min(rhi, 1.0))
-
-
-def cos2pi(x: Interval) -> Interval:
-    """Enclosure of {cos(2*pi*t) : t in x}; x in turns."""
-    lo, hi = x.lo, x.hi
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("cos2pi wants finite endpoints")
-    if hi - lo >= 1.0 or abs(lo) >= _TURN_LIMIT or abs(hi) >= _TURN_LIMIT:
-        return Interval(-1.0, 1.0)
-    clo = cos2pi_point(lo)
-    chi = cos2pi_point(hi)
-    rlo, rhi = _nudge_out(min(clo, chi), max(clo, chi), _TRIG_NUDGE)
-    if _has_crossing(lo, hi, 0.0):
-        rhi = 1.0
-    if _has_crossing(lo, hi, 0.5):
-        rlo = -1.0
-    return Interval(max(rlo, -1.0), min(rhi, 1.0))
-
-
-# -- fast trig pair ----------------------------------------------------
+# -- trig kernel ------------------------------------------------------
 #
-# The corrected kernels above stay within ~1 ulp, which the certifier does
-# not need: its margins are 1e-2..1e-4.  This variant skips the argument
-# correction and pays with a 2e-15 absolute pad (worst-case residue rounding
-# for negative arguments is ~7e-16, libm and argument rounding ~5e-16).
+# The one trig enclosure: the certifier's margins are 1e-2..1e-4, so it
+# skips any argument correction and pays with a 2e-15 absolute pad
+# (worst-case residue rounding for negative arguments is ~7e-16, libm and
+# argument rounding ~5e-16).
 
 _FAST_PAD = 2e-15
 

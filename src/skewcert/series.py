@@ -1,5 +1,6 @@
-"""Enclosed evaluation of the slope series S(x, u), its x-derivative, the
-Weierstrass sum, the auxiliary series G, and finite-word combinatorics.
+"""Enclosed evaluation of the slope series S(x, u) and its x-derivative
+(as prefix-sum chains), the Weierstrass tail radius, and finite-word
+combinatorics.
 
 All rigorous evaluation works on `Interval` arguments so point and cell
 queries share one code path.  The driving function psi is a zero-mean
@@ -113,10 +114,9 @@ class TrigPoly:
     def eval_iv(self, x: Interval) -> Interval:
         """Enclosure of psi over x (x in plain units; harmonics in turns).
 
-        Each harmonic takes the padded fast trig kernel that `Chain.step`
-        also runs; its enclosure is a few 1e-15 wider than the corrected
-        `sin2pi`/`cos2pi` would give, immaterial against the margins and
-        tail radii this feeds.
+        Each harmonic takes the padded trig kernel `_fast_sincos_pair`
+        that `Chain.step` also runs; its 2e-15 pad is immaterial against
+        the margins and tail radii this feeds.
         """
         return Interval(*_sum_terms(self._terms, _trig_table(self._harmonics, x.lo, x.hi)))
 
@@ -199,9 +199,9 @@ class SystemParams:
     def __post_init__(self):
         if not isinstance(self.b, int) or self.b < 2:
             raise ValueError(f"b must be an integer >= 2, got {self.b!r}")
-        if not 1.0 / self.b < self.gamma < 1.0:
+        if not isinstance(self.gamma, (int, float)) or not 1.0 / self.b < self.gamma < 1.0:
             raise ValueError(
-                f"gamma must lie in (1/b, 1) = ({1.0 / self.b}, 1), got {self.gamma!r}"
+                f"gamma must be a number in (1/b, 1) = ({1.0 / self.b}, 1), got {self.gamma!r}"
             )
         object.__setattr__(self, "dpsi", self.psi.derivative())
         # one trig table over the harmonics of psi and psi' serves both
@@ -258,17 +258,6 @@ class SystemParams:
             ladder = tuple(grown)
             object.__setattr__(self, "_ladder", ladder)
         return ladder[n]
-
-    def default_depth(self, tol: float = 1e-12, cap: int = 5000) -> int:
-        """Smallest N with value-tail radius below tol (capped)."""
-        if self.psi_sup == 0.0:
-            return 1
-        guess = math.log(tol * (1.0 - self.gamma) / self.psi_sup) / math.log(self.gamma)
-        n = max(1, int(guess) - 2)
-        while tail_value(self, n) >= tol and n < cap:
-            n += 1
-        return n
-
 
 # ---------------------------------------------------------------------
 # words and codes
@@ -357,20 +346,8 @@ def tail_deriv(params: SystemParams, n: int) -> float:
     return (Interval.point(params.dpsi_sup) * ratio / (params.b_iv - g)).hi
 
 
-def tail_g(params: SystemParams, n: int) -> float:
-    """Upper bound for the G tail: dpsi_sup b^(1-n) / (b-1)."""
-    b = params.b_iv
-    binv_pow = (Interval.point(1.0) / b).pow_int(n)
-    return (Interval.point(params.dpsi_sup) * b * binv_pow / (b - Interval.point(1.0))).hi
-
-
 # ---------------------------------------------------------------------
 # series evaluation
-
-
-def _x_step(z: Interval, d: int, b: int) -> Interval:
-    """Enclosure of (z + d) / b, the inverse branch of x -> b x mod 1 for digit d."""
-    return z.shift(float(d)).scale_div(b)
 
 
 def _add_product(
@@ -454,7 +431,7 @@ class Chain:
         """The chain of this word followed by digit d.
 
         One pass on float endpoints, with the operations and rounding of
-        `_x_step`, then of `p + g * psi.eval_iv(z)` and
+        `z.shift(d).scale_div(b)`, then of `p + g * psi.eval_iv(z)` and
         `dp + h * dpsi.eval_iv(z)` in `Interval` arithmetic, so the bits
         are those of that interval loop.  One trig table over the
         harmonics of psi and psi' feeds both sums.
@@ -480,60 +457,9 @@ class Chain:
         return chain
 
 
-def x_of_word(params: SystemParams, x: Interval, w: Sequence[int]) -> Interval:
-    """Enclosure of (x + u_1 + u_2 b + ... + u_q b^(q-1)) / b^q."""
-    return Chain.root(x).walk(params, check_word(params.b, w)).z
-
-
 def eval_S(params: SystemParams, x: Interval, code: Code) -> Interval:
     """Enclosure of S(x, i) for every infinite continuation i of the prefix."""
     return Chain.root(x).walk(params, code.prefix).p.widen(code.tail_val)
-
-
-def eval_S_prime(params: SystemParams, x: Interval, code: Code) -> Interval:
-    """Enclosure of S'(x, i) (the x-derivative) over all continuations."""
-    return Chain.root(x).walk(params, code.prefix).dp.widen(code.tail_der)
-
-
-def split_self_similar(
-    params: SystemParams, x: Interval, w: Sequence[int]
-) -> tuple[Interval, Interval]:
-    """Prefix sums (P_w(x), P'_w(x)) of the self-similarity split.
-
-    S(x, w.u)  = P_w(x)  + gamma^|w|     * S(x(w), u)
-    S'(x, w.u) = P'_w(x) + (gamma/b)^|w| * S'(x(w), u)
-    """
-    chain = Chain.root(x).walk(params, check_word(params.b, w))
-    return chain.p, chain.dp
-
-
-def eval_G(params: SystemParams, x: Interval, code: Code) -> Interval:
-    """Enclosure of G(x, i) = sum_n b^(1-n) psi'(x(i_1..i_n)) over continuations."""
-    acc = Interval.point(0.0)
-    w = Interval.point(1.0)
-    z = x
-    for d in code.prefix:
-        z = _x_step(z, d, params.b)
-        acc = acc + w * params.dpsi.eval_iv(z)
-        w = w.scale_div(params.b)
-    return acc.widen(tail_g(params, code.depth))
-
-
-def eval_weierstrass(
-    lam: float, b: int, phi: TrigPoly, x: Interval, depth: int
-) -> Interval:
-    """Enclosure of sum_{n>=0} lam^n phi(b^n x), truncated at `depth` terms."""
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"b must be an integer >= 2, got {b!r}")
-    if not 1.0 / b < lam < 1.0:
-        raise ValueError(f"lambda must lie in (1/b, 1), got {lam!r}")
-    lam_iv = Interval.point(lam)
-    acc = Interval.point(0.0)
-    g = Interval.point(1.0)
-    for n in range(depth):
-        acc = acc + g * phi.eval_iv(x.scale(float(b) ** n))
-        g = g * lam_iv
-    return acc.widen(weierstrass_tail(lam, phi.sup_bound(), depth))
 
 
 def weierstrass_tail(lam: float, phi_sup: float, depth: int) -> float:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from skewcert.interval import _FAST_PAD, _TURN_LIMIT, PI2_HI, _has_crossing
+from skewcert.interval import _FAST_PAD, _TURN_LIMIT, PI2_HI
 from skewcert.series import SystemParams, TrigPoly, tail_value, tail_deriv
 
 
@@ -165,6 +165,16 @@ def _fast_cos_point(x: float) -> float:
     if r <= 0.75:
         return -math.cos(PI2_HI * (r - 0.5))
     return math.sin(PI2_HI * (r - 0.75))
+
+
+def _has_crossing(lo: float, hi: float, offset: float) -> bool:
+    """Is there an integer n with lo <= n + offset <= hi?"""
+    n = math.floor(lo - offset)
+    # at most a couple of candidates since hi - lo < 1
+    for k in (n, n + 1, n + 2):
+        if lo <= k + offset <= hi:
+            return True
+    return False
 
 
 def _fast_pair(point, top: float, bottom: float, lo: float, hi: float):

@@ -12,14 +12,10 @@ from skewcert.series import Chain, SystemParams, TrigPoly, reflect_word, tail_va
 from skewcert.certifier import (
     Budget,
     CertTask,
-    WitnessNotFound,
     all_words,
     certify_pair,
     delta_max,
     e_upper,
-    noncohomology_witness,
-    pair_diff_enclosure,
-    reflected_pairs,
     tangency_graph,
     theta_bound,
 )
@@ -32,35 +28,30 @@ def p27():
     return SystemParams.classical(2, 0.7)
 
 
-# -- pair_diff_enclosure ------------------------------------------------
-
-
-def test_pair_diff_identical_words(p27):
-    w = (0, 0, 1, 0, 1, 1)
-    val, der = pair_diff_enclosure(p27, Interval(0.25, 0.26), w, w)
-    tau_v = 2 * tail_value(p27, 6)
-    tau_d = 2 * tail_deriv(p27, 6)
-    assert val.lo == -tau_v and val.hi == tau_v
-    assert der.lo == -tau_d and der.hi == tau_d
+# -- pair differences ---------------------------------------------------
 
 
 def test_pair_diff_tails_shrink(p27):
-    widths = []
-    for d in range(0, 8):
-        val, _ = pair_diff_enclosure(
-            p27, Interval(0.25, 0.26), (0,) * (1 + d), (1,) + (0,) * d
-        )
-        widths.append(2 * tail_value(p27, 1 + d))
-    assert all(a > b for a, b in zip(widths, widths[1:]))
+    # certify_pair extends digits while the pair tail radii dominate: they
+    # shrink with every digit
+    tv2, td2, _ = certifier._pair_bounds(p27, 1, 7)
+    assert all(a > b for a, b in zip(tv2, tv2[1:]))
+    assert all(a > b for a, b in zip(td2, td2[1:]))
+    assert tv2[0] == 2 * tail_value(p27, 1) and td2[-1] == 2 * tail_deriv(p27, 8)
 
 
 def test_pair_diff_contains_all_samples():
-    # b=2, gamma=0.6, q=2, k=(0,0), l=(1,0), cell [0.25,0.26], d=4:
-    # the enclosure must contain every sampled continuation difference
+    # b=2, gamma=0.6, q=2, k=(0,0), l=(1,0), cell [0.25,0.26], d=4: the
+    # chains' prefix differences, widened by the pair tail radii, must
+    # contain every sampled continuation difference
     params = SystemParams.classical(2, 0.6)
     ka = (0, 0) + (1, 0, 1, 1)
     lb = (1, 0) + (0, 1, 0, 0)
-    val, der = pair_diff_enclosure(params, Interval(0.25, 0.26), ka, lb)
+    cell = Interval(0.25, 0.26)
+    ca = Chain.root(cell).walk(params, ka)
+    cb = Chain.root(cell).walk(params, lb)
+    val = (ca.p - cb.p).widen(2 * tail_value(params, len(ka)))
+    der = (ca.dp - cb.dp).widen(2 * tail_deriv(params, len(ka)))
     rng = np.random.default_rng(6)
     xs = np.linspace(0.25, 0.26, 200)
     ext = rng.integers(0, 2, size=(300, 12))
@@ -77,7 +68,7 @@ def test_pair_diff_contains_all_samples():
 
 def test_pair_diff_length_mismatch(p27):
     with pytest.raises(ValueError):
-        pair_diff_enclosure(p27, Interval(0.1, 0.2), (0, 0), (1,))
+        CertTask(p27, 2, Interval(0.1, 0.2), ((0, 0), (1,)), 1e-3, 1e-3)
 
 
 # -- certify_pair -------------------------------------------------------
@@ -241,7 +232,9 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
     # direct certification covers the cells j <= (n-1)/2 and the fallbacks only
     assert len(calls) == len(g.certificates) - derived
     for j in range(n):
-        assert g.unresolved[n - 1 - j] == reflected_pairs(g, j)
+        assert g.unresolved[n - 1 - j] == {
+            (reflect_word(b, k), reflect_word(b, l)) for k, l in g.unresolved[j]
+        }
 
 
 def test_full_pass_certifies_only_node_budget_pairs(monkeypatch):
@@ -526,6 +519,13 @@ def test_delta_max_trivial():
     assert dm.contains(1.0) and dm.width() < 1e-6
 
 
+def test_delta_max_b1_adds_the_harmonics():
+    # at b = 1 both terms are sin t: the maximum is 1 + gamma, at t = pi/2
+    for gamma in (0.0, 0.3, 0.7, 0.95):
+        dm = delta_max(1, gamma)
+        assert dm.contains(1.0 + gamma) and dm.width() < 1e-6, gamma
+
+
 def test_delta_max_proven_bounds():
     dm = delta_max(6, 1 / 3)
     assert dm.hi <= 1.324  # max(1 + 0.972/3, 0.99 + 1/3)
@@ -559,21 +559,3 @@ def test_theta_bounds():
     assert theta_bound(0, 6, 1.0) > theta_bound(1, 6, 1.0)
     with pytest.raises(ValueError):
         theta_bound(3, 6, 0.5)
-
-
-# -- non-cohomology witness ------------------------------------------------
-
-
-def test_witness_classical_b2(p27):
-    w = noncohomology_witness(p27)
-    assert w.gap > 0
-    c = p27.dpsi_sup
-    assert 2 * c < w.delta * 2**w.n1 * (2 - 1)  # printed inequality, rechecked
-    assert (1 - w.gamma1**w.n1) * c < w.delta * 2 * (2 - 1)
-    assert 0.0 <= w.gamma1 < 1.0
-
-
-def test_witness_not_found_for_zero_psi():
-    params = SystemParams(2, 0.7, TrigPoly.zero())
-    with pytest.raises(WitnessNotFound):
-        noncohomology_witness(params)

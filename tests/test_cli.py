@@ -395,6 +395,9 @@ def test_unusable_config_file_is_invalid_config(tmp_path, capsys, content):
         {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "srb_bins": [0, 64]},
         {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "srb_bins": [64.5, 64]},
         {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "srb_bins": 64},
+        {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "srb_iters": 100,
+         "srb_burn_in": 100},
+        {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2, "srb": True, "mode": "bogus"},
         {"lam": 0.7, "b": 2, "m": -1},
         {"lam": 0.7, "b": 2, "m": 12.5},
     ],
@@ -406,7 +409,18 @@ def test_bad_srb_bins_or_graph_m_is_invalid_config(tmp_path, capsys, cfg):
     rc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("invalid config: ")
-    assert not (tmp_path / "run" / "srb_histogram.csv").exists()
+    # the settings are checked before anything is written (no i_r.csv either)
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [{"psi": "foo"}, {"psi": [1]}, {"gamma": "0.7"}])
+def test_malformed_psi_or_gamma_is_invalid_config(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"b": 2, "gamma": 0.7, "qmax": 1, **bad}))
+    rc = run_cli(["certify", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])

@@ -5,15 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from skewcert.interval import (
-    _TURN_LIMIT,
-    Interval,
-    _fast_sincos_pair,
-    cos2pi,
-    cos2pi_point,
-    sin2pi,
-    sin2pi_point,
-)
+from skewcert.interval import _FAST_PAD, _TURN_LIMIT, Interval, _fast_sincos_pair
 
 from _oracles import fast_cos_pair, fast_sin_pair
 
@@ -114,47 +106,48 @@ def test_scale_div_outward():
 
 
 def test_sin2pi_point_cases():
-    assert sin2pi_point(0.0) == 0.0
-    assert abs(sin2pi_point(0.25) - 1.0) < 1e-15
-    assert abs(sin2pi_point(0.5)) < 1e-15
-    assert abs(sin2pi_point(0.75) + 1.0) < 1e-15
-    assert abs(cos2pi_point(0.0) - 1.0) < 1e-15
-    assert abs(cos2pi_point(0.5) + 1.0) < 1e-15
+    # at the quarter turns each point enclosure holds the exact value and
+    # is at most the pad wide on each side
+    for x, sin, cos in (
+        (0.0, 0.0, 1.0), (0.25, 1.0, 0.0), (0.5, 0.0, -1.0), (0.75, -1.0, 0.0), (-0.25, -1.0, 0.0)
+    ):
+        s_lo, s_hi, c_lo, c_hi = _fast_sincos_pair(x, x)
+        assert s_lo <= sin <= s_hi and s_hi - s_lo <= 2 * _FAST_PAD, x
+        assert c_lo <= cos <= c_hi and c_hi - c_lo <= 2 * _FAST_PAD, x
 
 
 def test_sin2pi_interval_examples():
-    z = sin2pi(Interval(0.0, 0.0))
-    assert z.contains(0.0) and z.width() < 1e-300
-    full = sin2pi(Interval(0.0, 0.25))
-    assert abs(full.lo) < 1e-300 and full.hi == 1.0
-    # [0.1, 0.2] -> [sin 0.4pi is the max? sin increasing there] endpoints
-    got = sin2pi(Interval(0.1, 0.2))
+    s_lo, s_hi, _, _ = _fast_sincos_pair(0.0, 0.0)
+    assert s_lo <= 0.0 <= s_hi and s_hi - s_lo <= 2 * _FAST_PAD
+    s_lo, s_hi, _, _ = _fast_sincos_pair(0.0, 0.25)
+    assert -_FAST_PAD <= s_lo <= 0.0 and s_hi == 1.0
+    # sin 2 pi . increases on [0.1, 0.2]: the endpoints map to the ends
+    s_lo, s_hi, _, _ = _fast_sincos_pair(0.1, 0.2)
     exact_lo = float(mp.sin(2 * mp.pi * mpf(0.1)))
     exact_hi = float(mp.sin(2 * mp.pi * mpf(0.2)))
-    assert got.lo <= exact_lo <= got.hi and got.lo <= exact_hi <= got.hi
-    assert got.hi - exact_hi < 5e-16 and exact_lo - got.lo < 5e-16
+    assert s_lo <= exact_lo and exact_hi <= s_hi
+    assert s_hi - exact_hi < _FAST_PAD + 5e-16 and exact_lo - s_lo < _FAST_PAD + 5e-16
 
 
 def test_trig_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        sin2pi(Interval(0.0, math.inf))
+    # a non-finite endpoint gets the trivial enclosure, never a NaN
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.inf, math.inf), (math.nan, 0.0)):
+        assert _fast_sincos_pair(lo, hi) == (-1.0, 1.0, -1.0, 1.0)
 
 
 def test_trig_containment_fuzz():
     rnd = random.Random(12)
     for _ in range(30000):
         lo = rnd.uniform(-4, 4)
-        w = 10 ** rnd.uniform(-17, 0.3)
-        x = Interval(lo, lo + w)
-        t = rnd.uniform(x.lo, x.hi)
-        s = sin2pi(x)
-        c = cos2pi(x)
+        hi = lo + 10 ** rnd.uniform(-17, 0.3)
+        t = rnd.uniform(lo, hi)
+        s_lo, s_hi, c_lo, c_hi = _fast_sincos_pair(lo, hi)
         ts = float(mp.sin(2 * mp.pi * mpf(t)))
         tc = float(mp.cos(2 * mp.pi * mpf(t)))
-        assert s.lo <= ts <= s.hi, (x, t)
-        assert c.lo <= tc <= c.hi, (x, t)
-        assert -1.0 <= s.lo <= s.hi <= 1.0
-        assert -1.0 <= c.lo <= c.hi <= 1.0
+        assert s_lo <= ts <= s_hi, (lo, hi, t)
+        assert c_lo <= tc <= c_hi, (lo, hi, t)
+        assert -1.0 <= s_lo <= s_hi <= 1.0
+        assert -1.0 <= c_lo <= c_hi <= 1.0
 
 
 def _sin2pi_oracle(t: float, phase: Fraction = Fraction(0)) -> float:
@@ -166,16 +159,15 @@ def _sin2pi_oracle(t: float, phase: Fraction = Fraction(0)) -> float:
 
 
 def test_trig_containment_near_integers():
-    # negative arguments just below integers exercise the exact-residue path
+    # negative arguments just below integers exercise the inexact residue
     rnd = random.Random(7)
     for _ in range(20000):
         base = rnd.randint(-50, 50)
         off = rnd.choice([1, -1]) * 10 ** rnd.uniform(-20, -12)
         t = base + off
-        x = Interval(t, t)
-        s = sin2pi(x)
+        s_lo, s_hi, _, _ = _fast_sincos_pair(t, t)
         ts = _sin2pi_oracle(t)
-        assert s.lo <= ts <= s.hi, (t, s, ts)
+        assert s_lo <= ts <= s_hi, (t, s_lo, s_hi, ts)
 
 
 def test_fast_trig_pair_containment():
@@ -229,33 +221,35 @@ def test_fast_sincos_pair_matches_per_function_pairs():
 
 
 def test_trig_monotone_span_tightness():
-    # on monotone spans each endpoint is within 3 ulp of the true value
-    # (libm sin is 0.51 ulp here, so 2 ulp of optimal is not attainable
-    # without bespoke correctly rounded trig; see the decisions log)
+    # on spans inside one quarter turn sin and cos are monotone, and each
+    # enclosure endpoint lies within 2.5e-15 of the exact range: the pad
+    # plus libm and argument rounding
     rnd = random.Random(31)
     worst = 0.0
     for _ in range(20000):
-        lo = rnd.uniform(0.26, 0.49)
-        hi = min(lo + 10 ** rnd.uniform(-9, -2), 0.499)
-        s = sin2pi(Interval(lo, hi))
-        for endpoint, t in ((s.hi, lo), (s.lo, hi)):  # sin decreasing here
-            exact = mp.sin(2 * mp.pi * mpf(t))
-            err = abs(float(mpf(endpoint) - exact)) / math.ulp(abs(endpoint))
-            worst = max(worst, err)
-    assert worst <= 3.0, worst
+        quarter = rnd.randrange(4) / 4
+        lo = quarter + rnd.uniform(0.01, 0.24)
+        hi = min(lo + 10 ** rnd.uniform(-9, -2), quarter + 0.249)
+        s_lo, s_hi, c_lo, c_hi = _fast_sincos_pair(lo, hi)
+        for got_lo, got_hi, f in ((s_lo, s_hi, mp.sin), (c_lo, c_hi, mp.cos)):
+            ends = sorted((f(2 * mp.pi * mpf(lo)), f(2 * mp.pi * mpf(hi))))
+            assert got_lo <= ends[0] and ends[1] <= got_hi, (lo, hi)
+            worst = max(worst, float(ends[0] - got_lo), float(got_hi - ends[1]))
+    assert worst <= 2.5e-15, worst
 
 
 def test_trig_wide_interval_covers_period():
-    assert sin2pi(Interval(0.0, 2.0)) == Interval(-1.0, 1.0)
-    assert cos2pi(Interval(-3.7, 5.0)) == Interval(-1.0, 1.0)
+    assert _fast_sincos_pair(0.0, 2.0) == (-1.0, 1.0, -1.0, 1.0)
+    assert _fast_sincos_pair(-3.7, 5.0) == (-1.0, 1.0, -1.0, 1.0)
+    assert _fast_sincos_pair(0.3, 1.3) == (-1.0, 1.0, -1.0, 1.0)
 
 
 def test_trig_critical_point_clamps():
-    s = sin2pi(Interval(0.2, 0.3))  # contains 0.25
-    assert s.hi == 1.0 and s.lo < 1.0
-    s = sin2pi(Interval(0.7, 0.8))  # contains 0.75
-    assert s.lo == -1.0
-    c = cos2pi(Interval(0.9, 1.1))  # contains the integer turn
-    assert c.hi == 1.0
-    c = cos2pi(Interval(0.45, 0.55))
-    assert c.lo == -1.0
+    s_lo, s_hi, _, _ = _fast_sincos_pair(0.2, 0.3)  # contains 0.25
+    assert s_hi == 1.0 and s_lo < 1.0
+    s_lo, _, _, _ = _fast_sincos_pair(0.7, 0.8)  # contains 0.75
+    assert s_lo == -1.0
+    _, _, _, c_hi = _fast_sincos_pair(0.9, 1.1)  # contains the integer turn
+    assert c_hi == 1.0
+    _, _, c_lo, _ = _fast_sincos_pair(0.45, 0.55)
+    assert c_lo == -1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from skewcert.interval import Interval
+from skewcert.boxdim import sample_graph
 from skewcert.series import (
     Chain,
     Code,
@@ -12,18 +13,11 @@ from skewcert.series import (
     SystemParams,
     TrigPoly,
     adding_machine,
-    classical_phi,
     classical_psi,
-    eval_G,
     eval_S,
-    eval_S_prime,
-    eval_weierstrass,
     reflect_word,
-    split_self_similar,
     tail_deriv,
-    tail_g,
     tail_value,
-    x_of_word,
 )
 
 from _oracles import fast_cos_pair, fast_sin_pair, s_partial, s_prime_partial, trig_eval_plain
@@ -31,8 +25,6 @@ from _oracles import fast_cos_pair, fast_sin_pair, s_partial, s_prime_partial, t
 # direct high-precision summation oracle results, frozen
 # (classical psi, b=2, gamma=0.6, x=1, prefix of 20 zeros)
 GOLDEN_S_1_ZEROS20 = -6.116016959721187
-# (classical psi, b=2, x=1/4, G-series over 40 zero digits)
-GOLDEN_G_QUARTER_ZEROS40 = -65.6745157550847
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +44,8 @@ def test_params_validation():
         SystemParams.classical(2, 0.5)  # gamma must exceed 1/b
     with pytest.raises(ValueError):
         SystemParams.classical(2, 1.0)
+    with pytest.raises(ValueError):
+        SystemParams.classical(2, "0.7")  # gamma must be a number
     p = SystemParams.classical(3, 0.5)
     assert p.lam == pytest.approx(1 / 1.5)
 
@@ -67,23 +61,30 @@ def test_sup_norm_bounds(p26):
     assert np.max(np.abs(p26.dpsi.eval_np(xs))) <= p26.dpsi_sup
 
 
+def _s_prime(params, x, code):
+    """Enclosure of S'(x, i) over every continuation i of the code's prefix."""
+    return Chain.root(x).walk(params, code.prefix).dp.widen(code.tail_der)
+
+
 def test_x_of_word_examples(p26):
-    assert x_of_word(p26, Interval.point(0.0), (1,)).contains(0.5)
+    # a chain's z encloses x(w) = (x + u_1 + u_2 b + ... + u_q b^(q-1)) / b^q
+    assert Chain.root(Interval.point(0.0)).walk(p26, (1,)).z.contains(0.5)
     p3 = SystemParams.classical(3, 0.5)
-    z = x_of_word(p3, Interval.point(0.0), ())
+    z = Chain.root(Interval.point(0.0)).walk(p3, ()).z
     assert z.lo == 0.0 and z.hi == 0.0
-    z = x_of_word(p3, Interval.point(0.5), (2, 1))
+    z = Chain.root(Interval.point(0.5)).walk(p3, (2, 1)).z
     assert z.contains(11 / 18) and z.width() < 1e-14
 
 
 def test_x_of_word_rejects_bad_digits(p26):
+    # words enter through Code.make (and CertTask), which check their digits
     with pytest.raises(InvalidWordError):
-        x_of_word(p26, Interval.point(0.0), (2,))
+        Code.make(p26, (2,))
 
 
 def test_x_of_word_contracts_width(p26):
     x = Interval(0.2, 0.3)
-    z = x_of_word(p26, x, (1, 0, 1))
+    z = Chain.root(x).walk(p26, (1, 0, 1)).z
     assert z.width() == pytest.approx(0.1 / 8, rel=1e-9)
 
 
@@ -114,14 +115,14 @@ def test_eval_S_symmetry_pair(p27):
 
 def test_eval_S_prime_closed_form(p26):
     # all arguments hit 0 where psi'(0) = -4 pi^2: geometric sum -4pi^2/(b-gamma)
-    s = eval_S_prime(p26, Interval.point(0.0), Code.zeros(p26, 60))
+    s = _s_prime(p26, Interval.point(0.0), Code.zeros(p26, 60))
     assert s.contains(-4 * math.pi**2 / (2 - 0.6))
 
 
 def test_eval_S_prime_nesting(p26):
     x = Interval.point(0.37)
-    deep = eval_S_prime(p26, x, Code.zeros(p26, 12))
-    shallow = eval_S_prime(p26, x, Code.zeros(p26, 11))
+    deep = _s_prime(p26, x, Code.zeros(p26, 12))
+    shallow = _s_prime(p26, x, Code.zeros(p26, 11))
     assert deep.width() <= shallow.width()
     assert deep.intersects(shallow)
 
@@ -134,7 +135,7 @@ def test_global_bounds(p27):
         x = Interval.point(rnd.uniform(0, 1))
         u = tuple(rnd.randrange(2) for _ in range(10))
         assert eval_S(p27, x, Code.make(p27, u)).mag() <= vb + 1e-9
-        assert eval_S_prime(p27, x, Code.make(p27, u)).mag() <= db + 1e-9
+        assert _s_prime(p27, x, Code.make(p27, u)).mag() <= db + 1e-9
 
 
 def test_inclusion_monotonicity(p27):
@@ -166,17 +167,18 @@ def test_split_self_similar_identity(p27):
         x = Interval.point(rnd.random())
         w = tuple(rnd.randrange(2) for _ in range(rnd.randrange(0, 5)))
         u = tuple(rnd.randrange(2) for _ in range(12))
-        pw, dpw = split_self_similar(p27, x, w)
+        # S(x, w.u) = P_w(x) + gamma^|w| S(x(w), u), and S' with (gamma/b)^|w|
+        chain = Chain.root(x).walk(p27, w)
+        pw, dpw, xw = chain.p, chain.dp, chain.z
         if not w:
             assert pw.contains(0.0) and pw.width() < 1e-15
             assert dpw.contains(0.0)
             continue
-        xw = x_of_word(p27, x, w)
         lhs = eval_S(p27, x, Code.make(p27, w + u))
         rhs = pw + p27.gamma_iv.pow_int(len(w)) * eval_S(p27, xw, Code.make(p27, u))
         assert lhs.intersects(rhs)
-        lhs_d = eval_S_prime(p27, x, Code.make(p27, w + u))
-        rhs_d = dpw + (p27.gamma_iv.scale_div(p27.b)).pow_int(len(w)) * eval_S_prime(
+        lhs_d = _s_prime(p27, x, Code.make(p27, w + u))
+        rhs_d = dpw + (p27.gamma_iv.scale_div(p27.b)).pow_int(len(w)) * _s_prime(
             p27, xw, Code.make(p27, u)
         )
         assert lhs_d.intersects(rhs_d)
@@ -187,7 +189,7 @@ def test_split_q1_check(p27):
     x = Interval.point(0.3)
     w = (1,)
     u = (0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0)
-    xw = x_of_word(p27, x, w)
+    xw = Chain.root(x).walk(p27, w).z
     lhs = eval_S(p27, x, Code.make(p27, w + u))
     rhs = p27.psi.eval_iv(xw) + p27.gamma_iv * eval_S(p27, xw, Code.make(p27, u))
     assert lhs.intersects(rhs)
@@ -219,9 +221,9 @@ def test_chain_steps_match_walk(b, gamma):
 
 
 def test_series_sums_agree_with_chain(p27):
-    # eval_S, eval_S_prime, split_self_similar and x_of_word read one chain;
-    # its bits are those of the term-by-term loop with the power ladder
-    # gamma^n, gamma^n b^-(n+1) built by repeated multiplication
+    # a chain's bits are those of the term-by-term loop with the power
+    # ladder gamma^n, gamma^n b^-(n+1) built by repeated multiplication,
+    # and eval_S reads them
     rnd = random.Random(31)
     for _ in range(20):
         x = Interval.point(rnd.random())
@@ -240,9 +242,6 @@ def test_series_sums_agree_with_chain(p27):
         assert _chain_bits(chain) == (_bits(p), _bits(dp), _bits(z), len(w))
         code = Code.make(p27, w)
         assert _bits(eval_S(p27, x, code)) == _bits(p.widen(code.tail_val))
-        assert _bits(eval_S_prime(p27, x, code)) == _bits(dp.widen(code.tail_der))
-        assert tuple(map(_bits, split_self_similar(p27, x, w))) == (_bits(p), _bits(dp))
-        assert _bits(x_of_word(p27, x, w)) == _bits(z)
 
 
 def _psi_oracle(poly, z):
@@ -316,44 +315,21 @@ def test_adding_machine_series_identity(p27):
 
 
 def test_weierstrass_examples():
-    w0 = eval_weierstrass(0.5, 3, classical_phi(), Interval.point(0.0), 60)
-    assert w0.contains(2.0)  # geometric series 1/(1-lambda)
-    # even symmetry of the cosine sum
-    for x in (0.1, 0.37, 1.4):
-        a = eval_weierstrass(0.7, 2, classical_phi(), Interval.point(x), 50)
-        b = eval_weierstrass(0.7, 2, classical_phi(), Interval.point(-x), 50)
-        assert a.intersects(b)
-    # x = 1/3: every term is cos(2 pi 2^n / 3) = -1/2, so W = -1/(2(1-lam))
-    w13 = eval_weierstrass(0.7, 2, classical_phi(), Interval.point(1 / 3), 80)
-    assert w13.contains(-5 / 3)
+    # the graph lane's sums lie within the weierstrass_tail radius of the
+    # closed forms: W(0) = 1/(1-lambda), and the cosine sum is even
+    for lam, b in ((0.5, 3), (0.7, 2)):
+        g = sample_graph(lam, b, 10, depth=60)
+        assert abs(g.values[0] - 1 / (1 - lam)) <= g.tail + 1e-12
+        mirror = np.roll(g.values[::-1], 1)  # values at (n - j)/n
+        assert np.all(np.abs(g.values - mirror) <= 2 * g.tail + 1e-12)
 
 
 def test_weierstrass_rejects_bad_lambda():
+    # the graph lane takes lambda in [1/b, 1)
     with pytest.raises(ValueError):
-        eval_weierstrass(0.5, 2, classical_phi(), Interval.point(0.0), 10)
+        sample_graph(0.4, 2, 4)
     with pytest.raises(ValueError):
-        eval_weierstrass(1.0, 2, classical_phi(), Interval.point(0.0), 10)
-
-
-def test_eval_G_functional_equation(p27):
-    rnd = random.Random(2)
-    for _ in range(25):
-        x = rnd.random() * 0.5
-        gx = eval_G(p27, Interval.point(x), Code.zeros(p27, 30))
-        gbx = eval_G(p27, Interval.point(2 * x), Code.zeros(p27, 30))
-        rhs = p27.dpsi.eval_iv(Interval.point(x)) + gx.scale_div(2)
-        assert gbx.intersects(rhs)
-
-
-def test_eval_G_zero_psi():
-    p = SystemParams(2, 0.7, TrigPoly.zero())
-    g = eval_G(p, Interval.point(0.3), Code.zeros(p, 20))
-    assert g.contains(0.0) and g.mag() < 1e-300
-
-
-def test_eval_G_golden(p27):
-    g = eval_G(p27, Interval.point(0.25), Code.zeros(p27, 40))
-    assert g.contains(GOLDEN_G_QUARTER_ZEROS40)
+        sample_graph(1.0, 2, 4)
 
 
 def test_tail_radii_closed_forms(p26):
@@ -366,7 +342,6 @@ def test_tail_radii_closed_forms(p26):
         assert code.tail_der == pytest.approx(expect_d, rel=1e-12)
         assert tail_value(p26, n) >= expect_v * (1 - 1e-12)
         assert tail_deriv(p26, n) >= expect_d * (1 - 1e-12)
-        assert tail_g(p26, n) >= p26.dpsi_sup * 2.0 ** (1 - n) * (1 - 1e-12)
 
 
 def test_enclosures_contain_float_oracle(p26):
@@ -377,15 +352,9 @@ def test_enclosures_contain_float_oracle(p26):
         u = tuple(rnd.randrange(2) for _ in range(18))
         code = Code.make(p26, u)
         s = eval_S(p26, Interval.point(x), code)
-        sp = eval_S_prime(p26, Interval.point(x), code)
+        sp = _s_prime(p26, Interval.point(x), code)
         assert s.widen(1e-10).contains(s_partial(p26, x, u))
         assert sp.widen(1e-10).contains(s_prime_partial(p26, x, u))
-
-
-def test_default_depth(p26):
-    n = p26.default_depth(1e-12)
-    assert tail_value(p26, n) < 1e-12
-    assert tail_value(p26, n - 1) >= 1e-12
 
 
 def test_trigpoly_mean_zero_by_construction():

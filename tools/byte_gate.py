@@ -4,16 +4,17 @@ and compare everything they write.
     python3 tools/byte_gate.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository.  Each system runs as
-`python3 -m skewcert.cli ... --out out` with PYTHONPATH=<tree>/src, in a
-fresh temporary directory per tree, two runs at a time.  The systems are
-the 18 certify verdicts (the certify-b6 and ladder-b2 benchmark systems,
-and b = 6, 8, 12 at gamma = 0.2, 0.5, 0.9 with q <= 1), the b = 6 sweep,
-two fiber measures (exact; Monte Carlo with the SRB histogram) and the
-box counts of W(0.7, 2) and W(0.5, 3) with their local dimension.  A last
-run prints sha256 digests of the chain bits of random walks (b = 2, 3, 6,
-12; the classical psi and a four-harmonic one) and of the numpy lanes'
-arrays: graph values, graph local-dimension log means, fiber atoms and
-SRB counts.  Every artifact is compared byte for byte,
+`python3 -m skewcert.cli ... --out out` (`selftest` takes no --out) with
+PYTHONPATH=<tree>/src, in a fresh temporary directory per tree, two runs
+at a time.  The systems are the 18 certify verdicts (the certify-b6 and
+ladder-b2 benchmark systems, and b = 6, 8, 12 at gamma = 0.2, 0.5, 0.9
+with q <= 1), the b = 6 sweep, two fiber measures (exact; Monte Carlo
+with the SRB histogram), the box counts of W(0.7, 2) and W(0.5, 3) with
+their local dimension, and the selftest battery.  A last run prints
+sha256 digests of the chain bits of random walks (b = 2, 3, 6, 12; the
+classical psi and a four-harmonic one) and of the numpy lanes' arrays:
+graph values, graph local-dimension log means, fiber atoms and SRB
+counts.  Every artifact is compared byte for byte,
 `manifest.json` apart from its `timing_s`, and so are stdout, stderr and
 the exit code.  Prints one line per system and exits 1 on any difference.
 """
@@ -53,6 +54,7 @@ SYSTEMS = (
     + [(f"boxdim W({lam}, {b}) --local-dim",
         ["boxdim", "--lam", str(lam), "--b", str(b), "--local-dim", "--seed", "7"])
        for lam, b in ((0.7, 2), (0.5, 3))]
+    + [("selftest", ["selftest"])]
 )
 
 DIGEST = """
@@ -105,9 +107,11 @@ def _run(tree: Path, argv: list[str], where: Path) -> dict:
     """One CLI run (or the digest, for argv None) in its own directory."""
     where.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-    cmd = [sys.executable, "-c", DIGEST] if argv is None else (
-        [sys.executable, "-m", "skewcert.cli", *argv, "--out", "out"]
-    )
+    if argv is None:
+        cmd = [sys.executable, "-c", DIGEST]
+    else:
+        out_flag = [] if argv[0] == "selftest" else ["--out", "out"]
+        cmd = [sys.executable, "-m", "skewcert.cli", *argv, *out_flag]
     done = subprocess.run(cmd, cwd=where, env=env, capture_output=True)
     out = where / "out"
     files = {}
