@@ -262,7 +262,9 @@ class PairGraph:
     always contain the diagonal.  `certificates` maps (j, k, l) with k < l
     to the pair's Certificate.  For odd psi, those of the cells
     j > (n - 1)/2 are mirror images of cell n - 1 - j, which their
-    `derived_from` names (see `tangency_graph`).
+    `derived_from` names (see `tangency_graph`).  `nodes` sums the
+    `node_count` of the certificates this graph's own `certify_pair` calls
+    returned; inherited and mirror-derived certificates add nothing.
     """
 
     b: int
@@ -272,6 +274,7 @@ class PairGraph:
     delta: float
     unresolved: list[set[tuple[Word, Word]]]
     certificates: dict = field(default_factory=dict, repr=False)
+    nodes: int = 0
 
     @property
     def n_cells(self) -> int:
@@ -465,6 +468,7 @@ def tangency_graph(
                     cert = _mirror_certificate(mirrored, cell, (k, l), source, slopes, reflected)
             if cert is None:
                 cert = certify_pair(CertTask(params, q, cell, (k, l), eps, delta, budget))
+                graph.nodes += cert.node_count
             graph.certificates[(j, k, l)] = cert
             if not cert.transversal:
                 cell_pairs.add((k, l))

@@ -67,6 +67,17 @@ def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str],
     )
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _count(key: str, v, least: int) -> int:
+    """`v` if it is an integer (not a bool) of at least `least`."""
+    if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
+        raise ValueError(f"{key} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 def _make_params(cfg: dict) -> SystemParams:
     psi_spec = cfg.get("psi", "classical")
     if psi_spec == "classical":
@@ -74,9 +85,11 @@ def _make_params(cfg: dict) -> SystemParams:
     elif psi_spec == "zero":
         psi = TrigPoly.zero()
     elif isinstance(psi_spec, dict):
-        psi = TrigPoly.from_floats(
-            cos=psi_spec.get("cos", ()), sin=psi_spec.get("sin", ())
-        )
+        coeffs = {key: psi_spec.get(key, ()) for key in ("cos", "sin")}
+        for key, c in coeffs.items():
+            if not (isinstance(c, (list, tuple)) and all(map(_is_number, c))):
+                raise ValueError(f"psi {key} must be a list of numbers, got {c!r}")
+        psi = TrigPoly.from_floats(**coeffs)
     else:
         raise ValueError(
             f"psi must be 'classical', 'zero' or an object of cos and sin lists, "
@@ -87,18 +100,25 @@ def _make_params(cfg: dict) -> SystemParams:
 
 def _certify(cfg: dict, keep_graphs: bool = False) -> Verdict:
     """`certify_main` on the system, ladder and budget of a certify or sweep config."""
+    grid_p = cfg.get("grid_p")
+    ladder = cfg.get("eps_ladder", DEFAULT_LADDER)
+    if not (isinstance(ladder, (list, tuple)) and all(_is_number(e) and e > 0 for e in ladder)):
+        raise ValueError(f"eps_ladder must be a list of positive numbers, got {ladder!r}")
     return certify_main(
         _make_params(cfg),
-        q_max=cfg.get("qmax", 3),
-        grid_p=cfg.get("grid_p"),
-        ladder=tuple(cfg.get("eps_ladder", DEFAULT_LADDER)),
+        q_max=_count("qmax", cfg.get("qmax", 3), 1),
+        grid_p=None if grid_p is None else _count("grid_p", grid_p, 0),
+        ladder=tuple(ladder),
         budget=_budget_from(cfg),
         keep_graphs=keep_graphs,
     )
 
 
 def _budget_from(cfg: dict) -> Budget:
-    return replace(Budget(), **{f.name: cfg[f.name] for f in fields(Budget) if f.name in cfg})
+    return replace(
+        Budget(),
+        **{f.name: _count(f.name, cfg[f.name], 0) for f in fields(Budget) if f.name in cfg},
+    )
 
 
 def _verdict_payload(v: Verdict) -> dict:
@@ -155,10 +175,11 @@ def cmd_certify(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     v = _certify(cfg, keep_graphs=True)
     _dump_json(out / "verdict.json", _report(cfg, verdict=_verdict_payload(v)))
-    _dump_json(out / "certificates.json", {
-        "schema_version": SCHEMA_VERSION,
-        "certificates": _certificates_payload(v),
-    })
+    # one line: json's C encoder writes it several times faster than indent=2
+    certs = {"schema_version": SCHEMA_VERSION, "certificates": _certificates_payload(v)}
+    (out / "certificates.json").write_text(
+        json.dumps(certs, sort_keys=True, separators=(",", ":")) + "\n"
+    )
     _write_manifest(out, "certify", cfg, ["verdict.json", "certificates.json"], t0)
     if v.success:
         print(

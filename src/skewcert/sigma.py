@@ -228,6 +228,7 @@ class RungReport:
     scheme_kind: str
     target: float
     success: bool
+    nodes: int  # certify_pair nodes of the rung's probe and full passes
     graph: PairGraph | None = None
 
 
@@ -269,6 +270,7 @@ class Verdict:
                     "scheme": r.scheme_kind,
                     "target": r.target,
                     "success": r.success,
+                    "nodes": r.nodes,
                 }
                 for r in self.rungs
             ],
@@ -277,12 +279,16 @@ class Verdict:
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4)
 
-# node budget of each rung's probe pass.  Over the 18 comparison systems of
-# tools/byte_gate.py no transversal certificate needed more than 721 nodes
-# (b = 12, gamma = 0.5; at most 601 for b = 2, 6 and 8), while a pair that
-# stays unresolved spends the whole budget; a rung the probe does not
-# certify runs its unresolved pairs again at the full budget.
-PROBE_NODES = 1024
+# node budget of each rung's probe pass.  Most transversal certificates take
+# one node, while a pair that stays unresolved spends the whole budget, and
+# on the comparison systems of tools/byte_gate.py nearly every node went to
+# such pairs.  Lowering the probe from 1024 to 16 nodes kept success, q and
+# (eps, delta) on all 18 of them and cut their nodes about 12x.  A rung the
+# probe does not certify runs its unresolved pairs again at the full budget
+# and ends with the graph a single full-budget pass would give, so only the
+# bound and scheme of a rung that the probe graph already certifies can
+# depend on this number.
+PROBE_NODES = 16
 
 
 def default_grid_p(b: int) -> int:
@@ -318,9 +324,11 @@ def certify_main(
         prior = None
         for eps in ladder:
             graph = tangency_graph(params, q, p, eps, eps, probe, prior=prior)
+            nodes = graph.nodes
             bound, scheme = sigma_upper(graph, params, q)
             if bound >= target and probe != budget:
                 graph = tangency_graph(params, q, p, eps, eps, budget, prior=graph)
+                nodes += graph.nodes
                 bound, scheme = sigma_upper(graph, params, q)
             prior = graph
             _, e_glob = e_upper(graph)
@@ -335,6 +343,7 @@ def certify_main(
                     scheme.kind,
                     target,
                     success,
+                    nodes,
                     graph if keep_graphs else None,
                 )
             )

@@ -30,16 +30,51 @@ def test_certify_success_and_artifacts(tmp_path: Path):
     assert set(manifest["artifacts"]) == {"certificates.json", "verdict.json"}
 
 
+B2_CFG = {"b": 2, "gamma": 0.75, "qmax": 1, "grid_p": 3}
+
+
 @pytest.fixture(scope="module")
-def b2_certs(tmp_path_factory) -> list[dict]:
-    """certificates.json of `certify --b 2 --gamma 0.75 --qmax 1 --grid-p 3`."""
+def b2_out(tmp_path_factory) -> Path:
+    """The --out of `certify --b 2 --gamma 0.75 --qmax 1 --grid-p 3`."""
     out = tmp_path_factory.mktemp("b2")
     rc = run_cli(
         ["certify", "--b", "2", "--gamma", "0.75", "--qmax", "1", "--grid-p", "3",
          "--out", str(out)]
     )
     assert rc == 0
-    return json.loads((out / "certificates.json").read_text())["certificates"]
+    return out
+
+
+@pytest.fixture(scope="module")
+def b2_certs(b2_out) -> list[dict]:
+    return json.loads((b2_out / "certificates.json").read_text())["certificates"]
+
+
+def _intervals(node):
+    """Every dict with lo/hi/lo_hex/hi_hex below a parsed JSON document."""
+    if isinstance(node, dict):
+        if "lo_hex" in node:
+            yield node
+        for v in node.values():
+            yield from _intervals(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _intervals(v)
+
+
+def test_certificates_json_is_one_bit_exact_line(b2_out):
+    text = (b2_out / "certificates.json").read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    v = cli._certify(B2_CFG, keep_graphs=True)
+    assert doc == {"schema_version": "2", "certificates": cli._certificates_payload(v)}
+    boxes = list(_intervals(doc))
+    assert any(len(c["leaves"]) for c in doc["certificates"])
+    assert len(boxes) > len(doc["certificates"])
+    for box in boxes:
+        for key in ("lo", "hi"):
+            assert float.fromhex(box[key + "_hex"]) == box[key]
+            assert float.hex(box[key]) == box[key + "_hex"]  # sign of zero too
 
 
 def test_certificates_hex_roundtrip(b2_certs):
@@ -421,6 +456,26 @@ def test_malformed_psi_or_gamma_is_invalid_config(tmp_path, capsys, bad):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"psi": {"cos": 5}},
+        {"qmax": "1"},
+        {"max_nodes": "10"},
+        {"eps_ladder": 0.01},
+        {"grid_p": "3"},
+    ],
+)
+def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"b": 2, "gamma": 0.7, "qmax": 1, **bad}))
+    rc = run_cli(["certify", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])

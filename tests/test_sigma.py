@@ -3,7 +3,7 @@ import math
 import pytest
 
 from skewcert.certifier import PairGraph, all_words, e_upper, tangency_graph, Budget
-from skewcert import sigma
+from skewcert import certifier, sigma
 from skewcert.series import SystemParams
 from skewcert.sigma import (
     DEFAULT_LADDER,
@@ -267,10 +267,11 @@ def _single_pass_ladder(params, q_max, p):
     return out
 
 
-@pytest.mark.parametrize("probe_nodes", [None, 8])
+@pytest.mark.parametrize("probe_nodes", [None, 8, 1024])
 def test_certify_main_two_pass_rungs_match_single_pass(monkeypatch, probe_nodes):
-    # a probe budget of 8 nodes leaves certifiable pairs unresolved, so the
-    # full-budget pass of each missed rung has to recover them
+    # a small probe budget leaves certifiable pairs unresolved, so the
+    # full-budget pass of each missed rung has to recover them; 1024 was
+    # the default probe before it was lowered to 16
     if probe_nodes is not None:
         monkeypatch.setattr(sigma, "PROBE_NODES", probe_nodes)
     params = SystemParams.classical(2, 0.68)
@@ -288,3 +289,21 @@ def test_certify_main_two_pass_rungs_match_single_pass(monkeypatch, probe_nodes)
     assert (v.q, v.sigma_bound, v.scheme.kind if v.scheme else None) == (
         (ref[-1][0], bound, scheme.kind) if v.success else (None, None, None)
     )
+
+
+def test_rung_nodes_sum_certify_pair_nodes(monkeypatch):
+    # b = 2, gamma = 0.68 has missed rungs (probe and full pass), inherited
+    # pairs and mirror-derived cells, which must add no nodes
+    counted = []
+    real = certifier.certify_pair
+
+    def counting(task):
+        cert = real(task)
+        counted.append(cert.node_count)
+        return cert
+
+    monkeypatch.setattr(certifier, "certify_pair", counting)
+    v = certify_main(SystemParams.classical(2, 0.68), 2, grid_p=4)
+    assert any(not r.success for r in v.rungs)
+    assert sum(r.nodes for r in v.rungs) == sum(counted) > 0
+    assert [r["nodes"] for r in v.to_dict()["rungs"]] == [r.nodes for r in v.rungs]

@@ -17,6 +17,9 @@ graph values, graph local-dimension log means, fiber atoms and SRB
 counts.  Every artifact is compared byte for byte,
 `manifest.json` apart from its `timing_s`, and so are stdout, stderr and
 the exit code.  Prints one line per system and exits 1 on any difference.
+Below a system, each `.json` artifact that differs gets one more line:
+whether the parsed documents are equal (a change of format only) and,
+if not, the first key path where they differ.
 """
 
 from __future__ import annotations
@@ -134,6 +137,40 @@ def _differences(a: dict, b: dict) -> list[str]:
     return out
 
 
+def _first_difference(a, b, path: str = "$") -> str | None:
+    """Key path of the first place where two parsed JSON documents differ."""
+    if type(a) is not type(b):
+        return path
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}"
+            if key not in a or key not in b:
+                return sub
+            found = _first_difference(a[key], b[key], sub)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _first_difference(x, y, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if a == b or (a != a and b != b) else path  # NaN equals NaN
+
+
+def _json_note(a: bytes | None, b: bytes | None) -> str:
+    """How two versions of one JSON artifact differ once parsed."""
+    if a is None or b is None:
+        return f"only in {'change' if a is None else 'parent'}"
+    try:
+        docs = json.loads(a), json.loads(b)
+    except ValueError as exc:
+        return f"not JSON: {exc}"
+    path = _first_difference(*docs)
+    return "parsed equal" if path is None else f"parsed differ at {path}"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -160,6 +197,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'DIFF' if diff else 'same'}  {name}  (exit {rc})" + (
             f": {', '.join(diff)}" if diff else ""
         ))
+        for artifact in diff:
+            if artifact.endswith(".json"):
+                files = (results[2 * i]["files"], results[2 * i + 1]["files"])
+                print(f"      {artifact}: "
+                      f"{_json_note(*(f.get(artifact) for f in files))}")
         failed += bool(diff)
     shutil.rmtree(work, ignore_errors=True)
     print(f"byte gate: {failed} of {len(systems)} systems differ")
