@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -256,12 +257,13 @@ def all_words(b: int, q: int) -> list[Word]:
 
 @dataclass
 class PairGraph:
-    """Per-cell sets of word pairs not certified transversal.
+    """Per-cell lists of the word pairs not certified transversal.
 
-    Cells are [j/b^p, (j+1)/b^p); the stored pair sets are symmetric and
-    always contain the diagonal.  `certificates` maps (j, k, l) with k < l
-    to the pair's Certificate.  For odd psi, those of the cells
-    j > (n - 1)/2 are mirror images of cell n - 1 - j, which their
+    Cells are [j/b^p, (j+1)/b^p); `unresolved[j]` lists the pairs (k, l)
+    with k < l of cell j whose certificate is not transversal, sorted.  The
+    diagonal, which is never transversal, is left out.  `certificates` maps
+    (j, k, l) with k < l to the pair's Certificate.  For odd psi, those of
+    the cells j > (n - 1)/2 are mirror images of cell n - 1 - j, which their
     `derived_from` names (see `tangency_graph`).  `nodes` sums the
     `node_count` of the certificates this graph's own `certify_pair` calls
     returned; inherited and mirror-derived certificates add nothing.
@@ -272,7 +274,7 @@ class PairGraph:
     p: int
     eps: float
     delta: float
-    unresolved: list[set[tuple[Word, Word]]]
+    unresolved: list[list[tuple[Word, Word]]]
     certificates: dict = field(default_factory=dict, repr=False)
     nodes: int = 0
 
@@ -286,21 +288,12 @@ class PairGraph:
         hi = math.nextafter((j + 1) / scale, math.inf)
         return Interval(lo, hi)
 
-    def nontrivial_pairs(self, j: int) -> list[tuple[Word, Word]]:
-        """Unordered non-diagonal pairs of cell j, lexicographically sorted."""
-        return sorted({(k, l) if k < l else (l, k) for (k, l) in self.unresolved[j] if k != l})
-
-    def is_diagonal_only(self, j: int) -> bool:
-        return all(k == l for (k, l) in self.unresolved[j])
-
     def e_by_cell(self) -> list[int]:
-        out = []
-        for j in range(self.n_cells):
-            rows: dict[Word, int] = {}
-            for (a, _) in self.unresolved[j]:
-                rows[a] = rows.get(a, 0) + 1
-            out.append(max(rows.values()) if rows else 1)
-        return out
+        """Per cell, 1 (the diagonal) + the largest unresolved degree of a word."""
+        return [
+            1 + max(Counter(itertools.chain.from_iterable(pairs)).values(), default=0)
+            for pairs in self.unresolved
+        ]
 
     def image_cell(self, j: int, w: Word) -> int:
         """Index at level p of the cell containing x(cell_j, w)."""
@@ -422,9 +415,9 @@ def tangency_graph(
     unresolved pairs are certified again: transversality at some margins
     implies transversality at equal or smaller ones.
 
-    An unresolved prior certificate that stopped before its node budget is
-    inherited too when certifying its pair again would give it back
-    (`_reruns_to_itself`), as in the full-budget pass after a probe.
+    An unresolved prior certificate is inherited too when certifying its
+    pair again would give it back (`_reruns_to_itself`), as in the
+    full-budget pass after a probe.
 
     When psi is odd (no cosine terms), only the cells j <= (n - 1)/2 are
     certified.  Cell n - 1 - j takes the mirror images of cell j's
@@ -436,7 +429,7 @@ def tangency_graph(
     words = all_words(b, q)
     pairs = [(k, l) for i, k in enumerate(words) for l in words[i + 1 :]]
     n_cells = b**p
-    graph = PairGraph(b, q, p, eps, delta, [set() for _ in range(n_cells)])
+    graph = PairGraph(b, q, p, eps, delta, [[] for _ in range(n_cells)])
     if prior is not None and (prior.q != q or prior.p != p or prior.b != b):
         raise ValueError("prior graph shape mismatch")
     mirror = all(c.mag() == 0.0 for c in params.psi.cos_coeffs)
@@ -447,21 +440,14 @@ def tangency_graph(
         slopes = (2.0 * tail_deriv(params, 0), _second_deriv_pair_bound(params))
     for j in range(n_cells):
         cell = graph.cell_interval(j)
-        cell_pairs = graph.unresolved[j]
-        for w in words:
-            cell_pairs.add((w, w))
         source = n_cells - 1 - j
         derive = mirror and source < j
         for i, (k, l) in enumerate(pairs):
-            cert = None
-            if prior is not None:
-                inherited = prior.certificates.get((j, k, l))
-                if (k, l) not in prior.unresolved[j]:
-                    if inherited is not None:
-                        graph.certificates[(j, k, l)] = inherited
-                    continue
-                if inherited is not None and _reruns_to_itself(inherited, eps, delta, budget):
-                    cert = inherited
+            cert = None if prior is None else prior.certificates.get((j, k, l))
+            if cert is not None and not (
+                cert.transversal or _reruns_to_itself(cert, eps, delta, budget)
+            ):
+                cert = None
             if cert is None and derive:
                 mirrored = graph.certificates.get((source, *pairs[mirror_index[i]]))
                 if mirrored is not None:
@@ -471,8 +457,7 @@ def tangency_graph(
                 graph.nodes += cert.node_count
             graph.certificates[(j, k, l)] = cert
             if not cert.transversal:
-                cell_pairs.add((k, l))
-                cell_pairs.add((l, k))
+                graph.unresolved[j].append((k, l))
     return graph
 
 

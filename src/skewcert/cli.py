@@ -78,40 +78,46 @@ def _count(key: str, v, least: int) -> int:
     return v
 
 
-def _make_params(cfg: dict) -> SystemParams:
+def _make_psi(cfg: dict) -> TrigPoly:
     psi_spec = cfg.get("psi", "classical")
     if psi_spec == "classical":
-        psi = classical_psi()
-    elif psi_spec == "zero":
-        psi = TrigPoly.zero()
-    elif isinstance(psi_spec, dict):
+        return classical_psi()
+    if psi_spec == "zero":
+        return TrigPoly.zero()
+    if isinstance(psi_spec, dict):
         coeffs = {key: psi_spec.get(key, ()) for key in ("cos", "sin")}
         for key, c in coeffs.items():
             if not (isinstance(c, (list, tuple)) and all(map(_is_number, c))):
                 raise ValueError(f"psi {key} must be a list of numbers, got {c!r}")
-        psi = TrigPoly.from_floats(**coeffs)
-    else:
-        raise ValueError(
-            f"psi must be 'classical', 'zero' or an object of cos and sin lists, "
-            f"got {psi_spec!r}"
-        )
-    return SystemParams(b=cfg["b"], gamma=cfg["gamma"], psi=psi)
+        return TrigPoly.from_floats(**coeffs)
+    raise ValueError(
+        f"psi must be 'classical', 'zero' or an object of cos and sin lists, got {psi_spec!r}"
+    )
 
 
-def _certify(cfg: dict, keep_graphs: bool = False) -> Verdict:
-    """`certify_main` on the system, ladder and budget of a certify or sweep config."""
+def _make_params(cfg: dict) -> SystemParams:
+    return SystemParams(b=cfg["b"], gamma=cfg["gamma"], psi=_make_psi(cfg))
+
+
+def _certify_options(cfg: dict) -> dict:
+    """`certify_main`'s q cap, grid, ladder and budget from a certify or sweep
+    config, checked."""
     grid_p = cfg.get("grid_p")
     ladder = cfg.get("eps_ladder", DEFAULT_LADDER)
     if not (isinstance(ladder, (list, tuple)) and all(_is_number(e) and e > 0 for e in ladder)):
         raise ValueError(f"eps_ladder must be a list of positive numbers, got {ladder!r}")
-    return certify_main(
-        _make_params(cfg),
-        q_max=_count("qmax", cfg.get("qmax", 3), 1),
-        grid_p=None if grid_p is None else _count("grid_p", grid_p, 0),
-        ladder=tuple(ladder),
-        budget=_budget_from(cfg),
-        keep_graphs=keep_graphs,
-    )
+    return {
+        "q_max": _count("qmax", cfg.get("qmax", 3), 1),
+        "grid_p": None if grid_p is None else _count("grid_p", grid_p, 0),
+        "ladder": tuple(ladder),
+        "budget": _budget_from(cfg),
+    }
+
+
+def _certify(cfg: dict, keep_graphs: bool = False) -> Verdict:
+    """`certify_main` on the system, ladder and budget of a certify or sweep config."""
+    options = _certify_options(cfg)
+    return certify_main(_make_params(cfg), keep_graphs=keep_graphs, **options)
 
 
 def _budget_from(cfg: dict) -> Budget:
@@ -130,13 +136,12 @@ def _verdict_payload(v: Verdict) -> dict:
 
 
 def _certificates_payload(v: Verdict) -> list[dict]:
-    """Every certificate of the deciding rung, with all of its leaves."""
+    """Every certificate of the last rung (the deciding one, or the last one
+    tried), with all of its leaves."""
     out = []
-    rung = next((r for r in v.rungs if r.graph is not None and r.success), None)
-    if rung is None:
-        rung = next((r for r in reversed(v.rungs) if r.graph is not None), None)
-    if rung is None:
+    if not v.rungs:
         return out
+    rung = v.rungs[-1]
     graph = rung.graph
     for (j, k, l), cert in sorted(graph.certificates.items()):
         entry = {
@@ -193,16 +198,18 @@ def cmd_certify(cfg: dict, out: Path) -> int:
 
 def _sweep_worker(job: tuple) -> dict:
     """One sweep row; a gamma whose certification raises gets an error row,
-    so the other rows of the sweep are still written."""
+    read as a verdict with no rungs, so the other rows of the sweep are
+    still written."""
     cfg_json, gamma = job
     cfg = dict(json.loads(cfg_json), gamma=gamma)
+    error = None
     try:
         v = _certify(cfg)
     except Exception as exc:
         traceback.print_exc()
-        row = dict.fromkeys(("q", "scheme", "bound", "target", "eps", "e_global"))
-        return dict(row, gamma=gamma, success=False, error=f"{type(exc).__name__}: {exc}")
-    return {
+        v = Verdict(cfg["b"], gamma, None)
+        error = f"{type(exc).__name__}: {exc}"
+    row = {
         "gamma": gamma,
         "success": v.success,
         "q": v.q,
@@ -212,10 +219,14 @@ def _sweep_worker(job: tuple) -> dict:
         "eps": v.eps,
         "e_global": v.rungs[-1].e_global if v.rungs else None,
     }
+    return row if error is None else dict(row, error=error)
 
 
 def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     t0 = time.perf_counter()
+    # every gamma shares these settings: check them once, before any job starts
+    _make_psi(cfg)
+    _certify_options(cfg)
     b = cfg["b"]
     start = cfg["gamma_start"]
     stop = cfg["gamma_stop"]
@@ -263,10 +274,14 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     params = _make_params(cfg)
     x = cfg.get("x", 0.3)
-    depth = cfg.get("depth", 14)
+    depth = _count("depth", cfg.get("depth", 14), 0)
     mode = cfg.get("mode", "exact")
     n_samples = cfg.get("samples")
-    seed = cfg.get("seed", 0)
+    if n_samples is not None:
+        _count("samples", n_samples, 1)
+    seed = _count("seed", cfg.get("seed", 0), 0)
+    grid = _count("grid", cfg.get("grid", 64), 1)
+    centers = _count("centers", cfg.get("centers", 100), 1)
     artifacts = []
     report = _report(cfg)
 
@@ -293,9 +308,7 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     r_exps = cfg.get("r_exponents", list(range(4, 11)))
     radii = [2.0 ** (-k) for k in r_exps]
     # aggregate correlation statistic over the x-grid
-    ests = i_r_table(
-        params, radii, cfg.get("grid", 64), depth, mode=mode, n_samples=n_samples, seed=seed
-    )
+    ests = i_r_table(params, radii, grid, depth, mode=mode, n_samples=n_samples, seed=seed)
     ir_rows = [(e.r, e.value, e.truncation_warning) for e in ests]
     _write_csv(out / "i_r.csv", "r,I_r,truncation_warning", ((r, v, int(w)) for r, v, w in ir_rows))
     artifacts.append("i_r.csv")
@@ -314,7 +327,7 @@ def cmd_measure(cfg: dict, out: Path) -> int:
         ld_exps = cfg.get("local_dim_exponents", list(range(4, 12)))
         ld_radii = [2.0 ** (-k) for k in ld_exps if 2.0 ** (-k) > mu.blur]
         if len(ld_radii) >= 2:
-            reg = local_dim_regress(mu, ld_radii, cfg.get("centers", 100), seed=seed)
+            reg = local_dim_regress(mu, ld_radii, centers, seed=seed)
             _write_csv(
                 out / "local_dim.csv",
                 "radius,mean_log_mass",
@@ -355,8 +368,14 @@ def cmd_boxdim(cfg: dict, out: Path) -> int:
     d_theory = theoretical_D(lam, b)
     m = cfg.get("m", 20)
     exps = cfg.get("scale_exponents", list(range(4, 15)))
-    sample = sample_graph(lam, b, m, depth=cfg.get("depth"))
-    res = box_count_dim(sample, exps, drop_edges=cfg.get("drop_edges", 2))
+    depth = cfg.get("depth")
+    if depth is not None:
+        _count("depth", depth, 0)
+    drop_edges = _count("drop_edges", cfg.get("drop_edges", 2), 0)
+    centers = _count("centers", cfg.get("centers", 200), 1)
+    seed = _count("seed", cfg.get("seed", 0), 0)
+    sample = sample_graph(lam, b, m, depth=depth)
+    res = box_count_dim(sample, exps, drop_edges=drop_edges)
     _write_csv(
         out / "counts.csv",
         "scale,count,used_in_fit",
@@ -377,8 +396,8 @@ def cmd_boxdim(cfg: dict, out: Path) -> int:
         reg = graph_mu_local_dim(
             sample,
             [2.0 ** (-k) for k in cfg.get("local_dim_exponents", range(4, 11))],
-            n_centers=cfg.get("centers", 200),
-            seed=cfg.get("seed", 0),
+            n_centers=centers,
+            seed=seed,
         )
         summary["mu_local_dim"] = {"slope": reg.slope, "ci": [reg.ci_low, reg.ci_high]}
     _dump_json(out / "report.json", summary)

@@ -67,8 +67,8 @@ class SigmaScheme:
 
 
 def _matching_structure(graph: PairGraph, j: int) -> list[tuple[Word, Word]] | None:
-    """Nontrivial pairs of cell j if they form a partial matching, else None."""
-    pairs = graph.nontrivial_pairs(j)
+    """Unresolved pairs of cell j if they form a partial matching, else None."""
+    pairs = graph.unresolved[j]
     seen: set[Word] = set()
     for k, l in pairs:
         if k in seen or l in seen:
@@ -84,7 +84,7 @@ def _check_matching(
     """K = diagonal-only cells; off K the unresolved pairs must form a
     matching, and `images` (all or any) of each pair's two image cells
     must lie inside K."""
-    k_cells = [j for j in range(graph.n_cells) if graph.is_diagonal_only(j)]
+    k_cells = [j for j in range(graph.n_cells) if not graph.unresolved[j]]
     k_set = set(k_cells)
     designated = {}
     for j in range(graph.n_cells):
@@ -118,13 +118,13 @@ def check_three_tier(graph: PairGraph) -> SigmaScheme | None:
     (a,c)).  The bound is the root t of the defining weight equation.
     """
     n = graph.n_cells
-    k0 = {j for j in range(n) if graph.is_diagonal_only(j)}
+    k0 = {j for j in range(n) if not graph.unresolved[j]}
     structures: dict[int, list[tuple[Word, Word]]] = {}
     for j in range(n):
         if j in k0:
             continue
-        pairs = graph.nontrivial_pairs(j)
-        if not 1 <= len(pairs) <= 2:
+        pairs = graph.unresolved[j]
+        if len(pairs) > 2:
             return None
         structures[j] = pairs
 
@@ -184,18 +184,14 @@ def check_three_tier(graph: PairGraph) -> SigmaScheme | None:
 def check_one_miss(graph: PairGraph, params: SystemParams) -> SigmaScheme | None:
     """Every cell must miss at least one off-diagonal pair."""
     n_words = params.b**graph.q
-    full = n_words * n_words
-    for j in range(graph.n_cells):
-        if len(graph.unresolved[j]) >= full:
-            return None
+    if any(len(pairs) >= math.comb(n_words, 2) for pairs in graph.unresolved):
+        return None
     alpha, bound = solve_alpha(params.b, graph.q)
     return SigmaScheme("one_miss", bound, {}, {"alpha": alpha})
 
 
-def sigma_upper(
-    graph: PairGraph, params: SystemParams, q: int
-) -> tuple[float, SigmaScheme]:
-    """Best sigma(q) bound among the scheme checks that verify on the graph.
+def sigma_upper(graph: PairGraph, params: SystemParams, q: int) -> SigmaScheme:
+    """The scheme of the best sigma(q) bound among those that verify on the graph.
 
     The trivial e(q)-bound always applies, so a result is guaranteed.
     """
@@ -210,8 +206,7 @@ def sigma_upper(
     s = check_one_miss(graph, params)
     if s is not None:
         schemes.append(s)
-    best = min(schemes, key=lambda s: (s.bound, _SCHEME_ORDER[s.kind]))
-    return best.bound, best
+    return min(schemes, key=lambda s: (s.bound, _SCHEME_ORDER[s.kind]))
 
 
 # ---------------------------------------------------------------------
@@ -224,28 +219,43 @@ class RungReport:
     eps: float
     delta: float
     e_global: int
-    sigma_bound: float
-    scheme_kind: str
+    scheme: SigmaScheme  # the best scheme on the rung's graph, with its bound
     target: float
-    success: bool
     nodes: int  # certify_pair nodes of the rung's probe and full passes
     graph: PairGraph | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.scheme.bound < self.target
+
+
+def _deciding(read: Callable[[RungReport], object]) -> property:
+    """A Verdict field read off its deciding rung, None when no rung certified."""
+    return property(lambda v: None if v.deciding is None else read(v.deciding))
 
 
 @dataclass
 class Verdict:
-    success: bool
+    """The rungs `certify_main` tried, in order.  It stops at the first rung
+    that certifies, so that rung, when there is one, is the last."""
+
     b: int
     gamma: float
-    q: int | None
-    scheme: SigmaScheme | None
-    sigma_bound: float | None
-    target: float | None
-    margin: float | None
-    eps: float | None
-    delta: float | None
-    grid_p: int
+    grid_p: int | None  # None on a sweep's error row, where no rung ran
     rungs: list[RungReport] = field(default_factory=list)
+
+    @property
+    def deciding(self) -> RungReport | None:
+        return self.rungs[-1] if self.rungs and self.rungs[-1].success else None
+
+    success = property(lambda v: v.deciding is not None)
+    q = _deciding(lambda r: r.q)
+    scheme = _deciding(lambda r: r.scheme)
+    sigma_bound = _deciding(lambda r: r.scheme.bound)
+    target = _deciding(lambda r: r.target)
+    margin = _deciding(lambda r: r.target - r.scheme.bound)
+    eps = _deciding(lambda r: r.eps)
+    delta = _deciding(lambda r: r.delta)
 
     def to_dict(self) -> dict:
         return {
@@ -266,8 +276,8 @@ class Verdict:
                     "eps": r.eps,
                     "delta": r.delta,
                     "e_global": r.e_global,
-                    "sigma_bound": r.sigma_bound,
-                    "scheme": r.scheme_kind,
+                    "sigma_bound": r.scheme.bound,
+                    "scheme": r.scheme.kind,
                     "target": r.target,
                     "success": r.success,
                     "nodes": r.nodes,
@@ -318,61 +328,24 @@ def certify_main(
         raise ValueError("q_max must be >= 1")
     p = default_grid_p(params.b) if grid_p is None else grid_p
     probe = replace(budget, max_nodes=min(budget.max_nodes, PROBE_NODES))
-    rungs: list[RungReport] = []
+    verdict = Verdict(params.b, params.gamma, p)
     for q in range(1, q_max + 1):
         target = (params.gamma * params.b) ** q
         prior = None
         for eps in ladder:
             graph = tangency_graph(params, q, p, eps, eps, probe, prior=prior)
             nodes = graph.nodes
-            bound, scheme = sigma_upper(graph, params, q)
-            if bound >= target and probe != budget:
+            scheme = sigma_upper(graph, params, q)
+            if scheme.bound >= target and probe != budget:
                 graph = tangency_graph(params, q, p, eps, eps, budget, prior=graph)
                 nodes += graph.nodes
-                bound, scheme = sigma_upper(graph, params, q)
+                scheme = sigma_upper(graph, params, q)
             prior = graph
             _, e_glob = e_upper(graph)
-            success = bound < target
-            rungs.append(
-                RungReport(
-                    q,
-                    eps,
-                    eps,
-                    e_glob,
-                    bound,
-                    scheme.kind,
-                    target,
-                    success,
-                    nodes,
-                    graph if keep_graphs else None,
-                )
+            rung = RungReport(
+                q, eps, eps, e_glob, scheme, target, nodes, graph if keep_graphs else None
             )
-            if success:
-                return Verdict(
-                    True,
-                    params.b,
-                    params.gamma,
-                    q,
-                    scheme,
-                    bound,
-                    target,
-                    target - bound,
-                    eps,
-                    eps,
-                    p,
-                    rungs,
-                )
-    return Verdict(
-        False,
-        params.b,
-        params.gamma,
-        None,
-        None,
-        None,
-        None,
-        None,
-        None,
-        None,
-        p,
-        rungs,
-    )
+            verdict.rungs.append(rung)
+            if rung.success:
+                return verdict
+    return verdict

@@ -170,7 +170,7 @@ def test_graph_zero_psi_everything_unresolved():
     params = SystemParams(2, 0.7, TrigPoly.zero())
     g = tangency_graph(params, 1, 2, 1e-3, 1e-3)
     for j in range(4):
-        assert len(g.nontrivial_pairs(j)) == 1  # the single off-diagonal pair
+        assert len(g.unresolved[j]) == 1  # the single off-diagonal pair
     _, e = e_upper(g)
     assert e == 2
 
@@ -179,7 +179,7 @@ def test_graph_b2_gamma075_clean_quarters():
     params = SystemParams.classical(2, 0.75)
     g = tangency_graph(params, 1, 4, 1e-2, 1e-2)
     for j in list(range(0, 4)) + list(range(12, 16)):
-        assert g.is_diagonal_only(j), j
+        assert not g.unresolved[j], j
 
 
 def _record_certify_calls(monkeypatch) -> list:
@@ -232,9 +232,10 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
     # direct certification covers the cells j <= (n-1)/2 and the fallbacks only
     assert len(calls) == len(g.certificates) - derived
     for j in range(n):
-        assert g.unresolved[n - 1 - j] == {
-            (reflect_word(b, k), reflect_word(b, l)) for k, l in g.unresolved[j]
-        }
+        # reflection reverses the order of words, so (k, l) maps to (l', k')
+        assert g.unresolved[n - 1 - j] == sorted(
+            (reflect_word(b, l), reflect_word(b, k)) for k, l in g.unresolved[j]
+        )
 
 
 def test_full_pass_certifies_only_node_budget_pairs(monkeypatch):
@@ -355,7 +356,7 @@ def test_unresolved_cells_satisfy_cos_closeness():
     bound = 2 * params.gamma / (params.b - params.gamma)
     eps_slack = 0.3  # finite (eps, delta) and finite cells blur the locus
     for j in range(g.n_cells):
-        for k, l in g.nontrivial_pairs(j):
+        for k, l in g.unresolved[j]:
             x = g.cell_interval(j).mid()
             ck = math.cos(2 * math.pi * (x + k[0]) / params.b)
             cl = math.cos(2 * math.pi * (x + l[0]) / params.b)

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from skewcert import cli
+from skewcert.certifier import PairGraph
 from skewcert.cli import main
-from skewcert.sigma import SigmaScheme, Verdict
+from skewcert.sigma import RungReport, SigmaScheme, Verdict
 
 
 def run_cli(args: list[str]) -> int:
@@ -158,6 +159,19 @@ def test_certify_inconclusive_exit_code(tmp_path: Path):
     cfg.write_text(json.dumps({"b": 2, "gamma": 0.6, "psi": "zero", "qmax": 1, "grid_p": 2}))
     rc = run_cli(["certify", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert rc == 2
+    # no rung certifies: the headline fields are None, and certificates.json
+    # holds the graph of the last rung tried (the smallest eps of the ladder)
+    verdict = json.loads((tmp_path / "run" / "verdict.json").read_text())["verdict"]
+    headline = ("q", "scheme", "sigma_bound", "target", "margin", "eps", "delta")
+    assert verdict["success"] is False
+    assert all(verdict[key] is None for key in headline)
+    assert "scheme_regions" not in verdict
+    last = verdict["rungs"][-1]
+    assert len(verdict["rungs"]) == 3 and not any(r["success"] for r in verdict["rungs"])
+    certs = json.loads((tmp_path / "run" / "certificates.json").read_text())["certificates"]
+    assert len(certs) == 4  # 4 cells, one off-diagonal pair each
+    assert all((c["eps"], c["delta"]) == (last["eps"], last["delta"]) for c in certs)
+    assert all(c["status"] == "unresolved" for c in certs)
 
 
 def test_invalid_config_exit_code(tmp_path: Path):
@@ -275,10 +289,11 @@ def test_console_script_help():
 
 
 def _stub_verdict(params, **_):
-    return Verdict(
-        True, params.b, params.gamma, 1, SigmaScheme("trivial", 1.0), 1.0,
-        params.b * params.gamma, params.b * params.gamma - 1.0, 1e-2, 1e-2, 2,
-    )
+    """A verdict certified at its one rung, whose graph holds no certificates."""
+    graph = PairGraph(params.b, 1, 2, 1e-2, 1e-2, [])
+    scheme = SigmaScheme("trivial", 1.0)
+    rung = RungReport(1, 1e-2, 1e-2, 1, scheme, params.b * params.gamma, 0, graph)
+    return Verdict(params.b, params.gamma, 2, [rung])
 
 
 class _SerialPool:
@@ -472,6 +487,59 @@ def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"b": 2, "gamma": 0.7, "qmax": 1, **bad}))
     rc = run_cli(["certify", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"qmax": "1"},
+        {"psi": "foo"},
+        {"grid_p": -1},
+        {"eps_ladder": [0.01, 0]},
+        {"max_nodes": "10"},
+    ],
+)
+def test_sweep_checks_settings_before_any_job(tmp_path, capsys, monkeypatch, bad):
+    # a setting that every gamma shares fails once, before any job starts
+    monkeypatch.setattr(cli, "_sweep_worker", lambda job: pytest.fail("a job started"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"b": 6, "gamma_start": 0.3, "gamma_stop": 0.5, "gamma_step": 0.1, "qmax": 1, **bad}
+    ))
+    rc = run_cli(["sweep", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+MEASURE_CFG = {"b": 2, "gamma": 0.7, "depth": 6, "grid": 2}
+BOXDIM_CFG = {"lam": 0.7, "b": 2, "m": 12, "local_dim": True}
+
+
+@pytest.mark.parametrize(
+    "command,bad",
+    [
+        ("measure", {"grid": 0}),
+        ("measure", {"depth": "6"}),
+        ("measure", {"samples": 0, "mode": "mc"}),
+        ("measure", {"centers": 1.5}),
+        ("measure", {"seed": -1}),
+        ("boxdim", {"drop_edges": "1"}),
+        ("boxdim", {"depth": "9"}),
+        ("boxdim", {"centers": 0}),
+        ("boxdim", {"seed": True}),
+    ],
+)
+def test_malformed_measure_or_boxdim_count_is_invalid_config(tmp_path, capsys, command, bad):
+    base = MEASURE_CFG if command == "measure" else BOXDIM_CFG
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, **bad}))
+    rc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1

@@ -64,14 +64,11 @@ def test_solve_t():
 
 
 def make_graph(b, q, p, cell_pairs):
-    words = all_words(b, q)
-    unresolved = []
-    for j in range(b**p):
-        s = {(w, w) for w in words}
-        for k, l in cell_pairs.get(j, []):
-            s.add((k, l))
-            s.add((l, k))
-        unresolved.append(s)
+    """A graph whose cell j leaves the pairs cell_pairs[j] unresolved, in
+    either order; each cell's list holds them as sorted (k, l) with k < l."""
+    unresolved = [
+        sorted({tuple(sorted(pair)) for pair in cell_pairs.get(j, [])}) for j in range(b**p)
+    ]
     return PairGraph(b, q, p, 1e-2, 1e-2, unresolved)
 
 
@@ -79,8 +76,8 @@ def test_check_sqrt2_fires_with_clean_images():
     g = make_graph(2, 1, 3, {3: [((0,), (1,))], 4: [((0,), (1,))]})
     s = check_sqrt2(g)
     assert s is not None and s.bound == SQRT2
-    bound, best = sigma_upper(g, SystemParams.classical(2, 0.75), 1)
-    assert best.kind == "sqrt2" and bound == SQRT2
+    best = sigma_upper(g, SystemParams.classical(2, 0.75), 1)
+    assert best.kind == "sqrt2" and best.bound == SQRT2
 
 
 def test_check_golden_single_sided_images():
@@ -90,8 +87,8 @@ def test_check_golden_single_sided_images():
     assert check_three_tier(g) is None
     s = check_golden(g)
     assert s is not None and s.bound == GOLDEN
-    bound, best = sigma_upper(g, SystemParams.classical(2, 0.9), 1)
-    assert best.kind == "golden" and bound == GOLDEN
+    best = sigma_upper(g, SystemParams.classical(2, 0.9), 1)
+    assert best.kind == "golden" and best.bound == GOLDEN
 
 
 def test_check_three_tier_star():
@@ -111,9 +108,9 @@ def test_check_three_tier_star():
     s = check_three_tier(g)
     assert s is not None
     assert s.regions["K1"] == [0] and s.regions["K2"] == [3]
-    bound, best = sigma_upper(g, SystemParams.classical(2, 0.68), 2)
+    best = sigma_upper(g, SystemParams.classical(2, 0.68), 2)
     assert best.kind == "three_tier"
-    assert bound == solve_t()
+    assert best.bound == solve_t()
 
 
 def test_check_one_miss_wins_at_high_degree():
@@ -123,11 +120,11 @@ def test_check_one_miss_wins_at_high_degree():
     assert check_three_tier(g) is None
     s = check_one_miss(g, SystemParams.classical(2, 0.9))
     assert s is not None
-    bound, best = sigma_upper(g, SystemParams.classical(2, 0.9), 2)
+    best = sigma_upper(g, SystemParams.classical(2, 0.9), 2)
     assert best.kind == "one_miss"
-    assert bound == pytest.approx(2 + 2 / ((1 + math.sqrt(17)) / 4), rel=1e-12)
+    assert best.bound == pytest.approx(2 + 2 / ((1 + math.sqrt(17)) / 4), rel=1e-12)
     _, e = e_upper(g)
-    assert e == 4 > bound
+    assert e == 4 > best.bound
 
 
 def test_one_miss_rejects_full_cell():
@@ -139,29 +136,28 @@ def test_one_miss_rejects_full_cell():
 
 def test_trivial_fallback_diagonal_only():
     g = make_graph(2, 2, 2, {})
-    bound, best = sigma_upper(g, SystemParams.classical(2, 0.7), 2)
-    assert bound == 1.0 and best.kind == "trivial"
+    best = sigma_upper(g, SystemParams.classical(2, 0.7), 2)
+    assert best.bound == 1.0 and best.kind == "trivial"
 
 
 def test_sigma_never_exceeds_e():
     params = SystemParams.classical(2, 0.75)
     g = tangency_graph(params, 1, 4, 1e-2, 1e-2)
-    bound, _ = sigma_upper(g, params, 1)
     _, e = e_upper(g)
-    assert bound <= e + 1e-12
+    assert sigma_upper(g, params, 1).bound <= e + 1e-12
 
 
 # -- scheme re-validation (the hypotheses, re-checked independently) --------
 
 
 def _revalidate(graph: PairGraph, scheme) -> None:
-    k0 = {j for j in range(graph.n_cells) if graph.is_diagonal_only(j)}
+    k0 = {j for j in range(graph.n_cells) if not graph.unresolved[j]}
     if scheme.kind in ("sqrt2", "golden"):
         assert set(scheme.regions["K"]) == k0
         for j in range(graph.n_cells):
             if j in k0:
                 continue
-            pairs = graph.nontrivial_pairs(j)
+            pairs = graph.unresolved[j]
             used = [w for pair in pairs for w in pair]
             assert len(used) == len(set(used))  # e(q, x) <= 2: a matching
             for k, l in pairs:
@@ -179,7 +175,7 @@ def _revalidate(graph: PairGraph, scheme) -> None:
             d = scheme.designated[j]
             assert graph.image_cell(j, d["a"]) in k0s
             assert graph.image_cell(j, d["b"]) in k0s
-            assert set(graph.nontrivial_pairs(j)) <= {tuple(sorted((d["a"], d["b"])))}
+            assert set(graph.unresolved[j]) <= {tuple(sorted((d["a"], d["b"])))}
         for j in k2:
             d = scheme.designated[j]
             a, b, c = d["a"], d["b"], d["c"]
@@ -191,14 +187,14 @@ def _revalidate(graph: PairGraph, scheme) -> None:
             if c is not None:
                 assert graph.image_cell(j, c) in k1
                 allowed.add(tuple(sorted((a, c))))
-            assert set(graph.nontrivial_pairs(j)) <= allowed
+            assert set(graph.unresolved[j]) <= allowed
 
 
 def test_reported_schemes_revalidate_on_real_graphs():
     for gamma, q in ((0.75, 1), (0.98, 1)):
         params = SystemParams.classical(2, gamma)
         g = tangency_graph(params, q, 5, 1e-2, 1e-2)
-        _, best = sigma_upper(g, params, q)
+        best = sigma_upper(g, params, q)
         if best.kind in ("sqrt2", "golden", "three_tier"):
             _revalidate(g, best)
 
@@ -239,6 +235,42 @@ def test_certify_main_inconclusive_zero_psi():
     v = certify_main(params, 1, grid_p=2)
     assert not v.success
     assert all(not r.success for r in v.rungs)
+    assert v.deciding is None
+    assert (v.q, v.scheme, v.sigma_bound, v.target, v.margin, v.eps, v.delta) == (None,) * 7
+
+
+def test_unresolved_lists_the_non_transversal_certificates(monkeypatch):
+    # every graph that the b = 2, gamma = 0.68 ladder builds (q <= 2, probe
+    # and full passes): cell j lists the sorted keys of its certificates
+    # that are not transversal, and nothing else
+    graphs = []
+    real = sigma.tangency_graph
+
+    def recording(*args, **kwargs):
+        graphs.append(real(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(sigma, "tangency_graph", recording)
+    v = certify_main(SystemParams.classical(2, 0.68), 2, grid_p=4)
+    assert v.q == 2 and len(graphs) > len(v.rungs)
+    assert any(any(g.unresolved) for g in graphs)
+    for g in graphs:
+        for j in range(g.n_cells):
+            keys = [(k, l) for (i, k, l), c in g.certificates.items() if i == j]
+            assert len(keys) == math.comb(2**g.q, 2)
+            missed = sorted(
+                (k, l) for (i, k, l), c in g.certificates.items() if i == j and not c.transversal
+            )
+            assert g.unresolved[j] == missed, (g.q, g.eps, j)
+
+
+def test_verdict_headline_reads_the_deciding_rung():
+    v = certify_main(SystemParams.classical(2, 0.68), 2, grid_p=4)
+    r = v.rungs[-1]
+    assert v.success and v.deciding is r and not any(x.success for x in v.rungs[:-1])
+    assert (v.q, v.scheme, v.sigma_bound, v.target, v.margin, v.eps, v.delta) == (
+        r.q, r.scheme, r.scheme.bound, r.target, r.target - r.scheme.bound, r.eps, r.delta
+    )
 
 
 def test_verdict_serialization():
@@ -253,16 +285,16 @@ def test_verdict_serialization():
 
 
 def _single_pass_ladder(params, q_max, p):
-    """(q, eps, graph, bound, scheme) per rung of a full-budget ladder with
-    one tangency_graph call per rung, up to the first success."""
+    """(q, eps, graph, scheme) per rung of a full-budget ladder with one
+    tangency_graph call per rung, up to the first success."""
     out = []
     for q in range(1, q_max + 1):
         prior = None
         for eps in DEFAULT_LADDER:
             prior = tangency_graph(params, q, p, eps, eps, Budget(), prior=prior)
-            bound, scheme = sigma_upper(prior, params, q)
-            out.append((q, eps, prior, bound, scheme))
-            if bound < (params.gamma * params.b) ** q:
+            scheme = sigma_upper(prior, params, q)
+            out.append((q, eps, prior, scheme))
+            if scheme.bound < (params.gamma * params.b) ** q:
                 return out
     return out
 
@@ -281,13 +313,13 @@ def test_certify_main_two_pass_rungs_match_single_pass(monkeypatch, probe_nodes)
     assert [(r.q, r.eps) for r in v.rungs] == [(q, eps) for q, eps, *_ in ref]
     missed = [(r, ref_rung) for r, ref_rung in zip(v.rungs, ref) if not r.success]
     assert missed
-    for r, (_, _, graph, bound, scheme) in missed:
+    for r, (_, _, graph, scheme) in missed:
         assert r.graph.unresolved == graph.unresolved
-        assert (r.sigma_bound, r.scheme_kind) == (bound, scheme.kind)
-    _, _, _, bound, scheme = ref[-1]
-    assert v.success == (bound < (params.gamma * params.b) ** ref[-1][0])
+        assert (r.scheme.bound, r.scheme.kind) == (scheme.bound, scheme.kind)
+    _, _, _, scheme = ref[-1]
+    assert v.success == (scheme.bound < (params.gamma * params.b) ** ref[-1][0])
     assert (v.q, v.sigma_bound, v.scheme.kind if v.scheme else None) == (
-        (ref[-1][0], bound, scheme.kind) if v.success else (None, None, None)
+        (ref[-1][0], scheme.bound, scheme.kind) if v.success else (None, None, None)
     )
 
 

@@ -8,7 +8,9 @@ PARENT and CHANGE are checkouts of this repository.  Each system runs as
 PYTHONPATH=<tree>/src, in a fresh temporary directory per tree, two runs
 at a time.  The systems are the 18 certify verdicts (the certify-b6 and
 ladder-b2 benchmark systems, and b = 6, 8, 12 at gamma = 0.2, 0.5, 0.9
-with q <= 1), the b = 6 sweep, two fiber measures (exact; Monte Carlo
+with q <= 1), one inconclusive certify (b = 2, gamma = 0.68, q <= 1:
+three missed rungs, so `certificates.json` comes from the last rung
+tried), the b = 6 sweep, two fiber measures (exact; Monte Carlo
 with the SRB histogram), the box counts of W(0.7, 2) and W(0.5, 3) with
 their local dimension, and the selftest battery.  A last run prints
 sha256 digests of the chain bits of random walks (b = 2, 3, 6, 12; the
@@ -45,6 +47,8 @@ SYSTEMS = (
     + [(f"certify b={b} gamma={g}",
         ["certify", "--b", str(b), "--gamma", str(g), "--qmax", "1"])
        for b in (6, 8, 12) for g in (0.2, 0.5, 0.9)]
+    + [("certify b=2 gamma=0.68 q<=1 (inconclusive)",
+        ["certify", "--b", "2", "--gamma", "0.68", "--qmax", "1"])]
     + [("sweep b=6 gamma=0.3..0.9",
         ["sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.9",
          "--gamma-step", "0.3", "--qmax", "1", "--threads", "2"])]
