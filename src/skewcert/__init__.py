@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .interval import Interval
 from .series import (
-    Code,
     SystemParams,
     TrigPoly,
     adding_machine,
@@ -20,7 +19,6 @@ from .certifier import (
     PairGraph,
     certify_pair,
     delta_max,
-    e_upper,
     tangency_graph,
     theta_bound,
 )
@@ -30,7 +28,6 @@ from .measures import (
     FiberAffine,
     corr_sq_norm,
     fiber_affine,
-    i_r_estimate,
     i_r_table,
     local_dim_regress,
     sample_mx,

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import RegressionResult, _ols_slope_ci
-from .series import TrigPoly, classical_phi, weierstrass_tail
+from .interval import Interval
+from .series import TrigPoly, classical_phi, tail_value
 
 
 def theoretical_D(lam: float, b: int) -> float:
@@ -63,7 +64,6 @@ def sample_graph(
     m: int,
     depth: int | None = None,
     phi: TrigPoly | None = None,
-    fp_slack: float = 1e-9,
 ) -> GraphSample:
     """Evaluate f(x) = sum lam^n phi(b^n x) on the 2^m dyadic grid."""
     theoretical_D(lam, b)  # validates (lam, b)
@@ -89,8 +89,8 @@ def sample_graph(
         cur, nxt = nxt, cur
         g *= lam
     phi_sup = phi.sup_bound()
-    tail = weierstrass_tail(lam, phi_sup, depth)
-    return GraphSample(lam, b, m, depth, acc, tail + fp_slack, tail, phi_sup)
+    tail = tail_value(phi_sup, Interval.point(lam), depth)
+    return GraphSample(lam, b, m, depth, acc, tail + 1e-9, tail, phi_sup)
 
 
 @dataclass
@@ -116,6 +116,8 @@ def box_count_dim(
     column's value range [min - hw, max + hw] meets.
     """
     exps = sorted(int(j) for j in scale_exponents)
+    if len(exps) < 2:
+        raise ValueError("need at least two scales")
     n = sample.n
     hw = sample.halfwidth
     scales = []

@@ -140,7 +140,7 @@ def _pair_bounds(
     if bounds is None:
         ns = range(q, q + d_max + 1)
         bounds = memo[(q, d_max)] = (
-            tuple(2.0 * tail_value(params, n) for n in ns),
+            tuple(2.0 * tail_value(params.psi_sup, params.gamma_iv, n) for n in ns),
             tuple(2.0 * tail_deriv(params, n) for n in ns),
             _second_deriv_pair_bound(params),
         )
@@ -248,7 +248,7 @@ def certify_pair(task: CertTask) -> Certificate:
 
 
 # ---------------------------------------------------------------------
-# per-cell tangency graphs and the e(q) upper bound
+# per-cell tangency graphs
 
 
 def all_words(b: int, q: int) -> list[Word]:
@@ -289,7 +289,8 @@ class PairGraph:
         return Interval(lo, hi)
 
     def e_by_cell(self) -> list[int]:
-        """Per cell, 1 (the diagonal) + the largest unresolved degree of a word."""
+        """Per cell, the bound 1 (the diagonal) + the largest unresolved degree
+        of a word for the tangency count e(q) at (eps, delta)."""
         return [
             1 + max(Counter(itertools.chain.from_iterable(pairs)).values(), default=0)
             for pairs in self.unresolved
@@ -382,23 +383,6 @@ def _mirror_certificate(
     return Certificate(cert.status, leaves, cert.node_count, task, cert.reason, source)
 
 
-def _reruns_to_itself(cert: Certificate, eps: float, delta: float, budget: Budget) -> bool:
-    """Would certifying cert's task at (eps, delta, budget) give cert again?
-
-    `certify_pair` is deterministic, and `max_nodes` only decides when it
-    stops on "node budget".  So a certificate that stopped on "depth budget"
-    or "tangency witness" within `budget.max_nodes` nodes comes back as it
-    is from the same margins and a budget that differs only in `max_nodes`.
-    """
-    task = cert.task
-    return (
-        cert.reason in ("depth budget", "tangency witness")
-        and (task.eps, task.delta) == (eps, delta)
-        and replace(task.budget, max_nodes=budget.max_nodes) == budget
-        and cert.node_count <= budget.max_nodes
-    )
-
-
 def tangency_graph(
     params: SystemParams,
     q: int,
@@ -414,10 +398,6 @@ def tangency_graph(
     (eps, delta), pairs it already certified are inherited and only its
     unresolved pairs are certified again: transversality at some margins
     implies transversality at equal or smaller ones.
-
-    An unresolved prior certificate is inherited too when certifying its
-    pair again would give it back (`_reruns_to_itself`), as in the
-    full-budget pass after a probe.
 
     When psi is odd (no cosine terms), only the cells j <= (n - 1)/2 are
     certified.  Cell n - 1 - j takes the mirror images of cell j's
@@ -444,9 +424,7 @@ def tangency_graph(
         derive = mirror and source < j
         for i, (k, l) in enumerate(pairs):
             cert = None if prior is None else prior.certificates.get((j, k, l))
-            if cert is not None and not (
-                cert.transversal or _reruns_to_itself(cert, eps, delta, budget)
-            ):
+            if cert is not None and not cert.transversal:
                 cert = None
             if cert is None and derive:
                 mirrored = graph.certificates.get((source, *pairs[mirror_index[i]]))
@@ -459,12 +437,6 @@ def tangency_graph(
             if not cert.transversal:
                 graph.unresolved[j].append((k, l))
     return graph
-
-
-def e_upper(graph: PairGraph) -> tuple[list[int], int]:
-    """Per-cell and global upper bounds for the tangency count e(q) at (eps, delta)."""
-    per_cell = graph.e_by_cell()
-    return per_cell, max(per_cell)
 
 
 # ---------------------------------------------------------------------

@@ -71,10 +71,22 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _count(key: str, v, least: int) -> int:
     """`v` if it is an integer (not a bool) of at least `least`."""
-    if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
+    if not (_is_int(v) and v >= least):
         raise ValueError(f"{key} must be an integer >= {least}, got {v!r}")
+    return v
+
+
+def _exponents(cfg: dict, key: str, default: list[int]) -> list[int]:
+    """cfg[key], or `default` when it is absent, if it is a list of integers."""
+    v = cfg.get(key, default)
+    if not (isinstance(v, list) and all(map(_is_int, v))):
+        raise ValueError(f"{key} must be a list of integers, got {v!r}")
     return v
 
 
@@ -227,11 +239,12 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     # every gamma shares these settings: check them once, before any job starts
     _make_psi(cfg)
     _certify_options(cfg)
-    b = cfg["b"]
+    b = _count("b", cfg["b"], 2)
     start = cfg["gamma_start"]
     stop = cfg["gamma_stop"]
     step = cfg.get("gamma_step", 0.02)
-    if not (step > 0 and math.isfinite(start) and math.isfinite(stop)):
+    numbers = all(map(_is_number, (start, stop, step)))
+    if not (numbers and step > 0 and math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("sweep needs finite gamma_start and gamma_stop and gamma_step > 0")
     gammas = []
     k = 0
@@ -274,6 +287,8 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     params = _make_params(cfg)
     x = cfg.get("x", 0.3)
+    if not _is_number(x):
+        raise ValueError(f"x must be a number, got {x!r}")
     depth = _count("depth", cfg.get("depth", 14), 0)
     mode = cfg.get("mode", "exact")
     n_samples = cfg.get("samples")
@@ -282,6 +297,8 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     seed = _count("seed", cfg.get("seed", 0), 0)
     grid = _count("grid", cfg.get("grid", 64), 1)
     centers = _count("centers", cfg.get("centers", 100), 1)
+    r_exps = _exponents(cfg, "r_exponents", list(range(4, 11)))
+    ld_exps = _exponents(cfg, "local_dim_exponents", list(range(4, 12)))
     artifacts = []
     report = _report(cfg)
 
@@ -290,9 +307,9 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     if cfg.get("srb", False):
         hist = srb_sample(
             params,
-            cfg.get("srb_points", 2000),
-            cfg.get("srb_iters", 2000),
-            cfg.get("srb_burn_in", 500),
+            _count("srb_points", cfg.get("srb_points", 2000), 1),
+            _count("srb_iters", cfg.get("srb_iters", 2000), 1),
+            _count("srb_burn_in", cfg.get("srb_burn_in", 500), 0),
             seed=seed,
             bins=cfg.get("srb_bins", (64, 64)),
         )
@@ -305,7 +322,6 @@ def cmd_measure(cfg: dict, out: Path) -> int:
         "distinct": int(np.unique(mu.locs).size),
     }
 
-    r_exps = cfg.get("r_exponents", list(range(4, 11)))
     radii = [2.0 ** (-k) for k in r_exps]
     # aggregate correlation statistic over the x-grid
     ests = i_r_table(params, radii, grid, depth, mode=mode, n_samples=n_samples, seed=seed)
@@ -324,7 +340,6 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     if degenerate:
         report["local_dim"] = {"error": "degenerate single-atom measure"}
     else:
-        ld_exps = cfg.get("local_dim_exponents", list(range(4, 12)))
         ld_radii = [2.0 ** (-k) for k in ld_exps if 2.0 ** (-k) > mu.blur]
         if len(ld_radii) >= 2:
             reg = local_dim_regress(mu, ld_radii, centers, seed=seed)
@@ -364,10 +379,13 @@ def cmd_measure(cfg: dict, out: Path) -> int:
 def cmd_boxdim(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     lam = cfg["lam"]
+    if not _is_number(lam):
+        raise ValueError(f"lam must be a number, got {lam!r}")
     b = cfg["b"]
     d_theory = theoretical_D(lam, b)
     m = cfg.get("m", 20)
-    exps = cfg.get("scale_exponents", list(range(4, 15)))
+    exps = _exponents(cfg, "scale_exponents", list(range(4, 15)))
+    ld_exps = _exponents(cfg, "local_dim_exponents", list(range(4, 11)))
     depth = cfg.get("depth")
     if depth is not None:
         _count("depth", depth, 0)
@@ -395,7 +413,7 @@ def cmd_boxdim(cfg: dict, out: Path) -> int:
     if cfg.get("local_dim", False):
         reg = graph_mu_local_dim(
             sample,
-            [2.0 ** (-k) for k in cfg.get("local_dim_exponents", range(4, 11))],
+            [2.0 ** (-k) for k in ld_exps],
             n_centers=centers,
             seed=seed,
         )
@@ -411,7 +429,7 @@ def cmd_selftest() -> int:
     import random
 
     from .interval import Interval, _fast_sincos_pair
-    from .series import Code, adding_machine, eval_S
+    from .series import adding_machine, eval_S
     from .certifier import CertTask, certify_pair, tangency_graph
     from .measures import AtomicMeasure, corr_sq_norm, vertical_scaling_check
     from .sigma import solve_alpha, solve_t
@@ -441,8 +459,8 @@ def cmd_selftest() -> int:
         x = rnd.random()
         u = tuple(rnd.randrange(2) for _ in range(12))
         au, _carry = adding_machine(2, u)
-        a = eval_S(params, Interval.point(x + 1.0), Code.make(params, u))
-        bb = eval_S(params, Interval.point(x), Code.make(params, au))
+        a = eval_S(params, Interval.point(x + 1.0), u)
+        bb = eval_S(params, Interval.point(x), au)
         if not a.intersects(bb):
             ok = False
             break

@@ -74,9 +74,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def is_subset(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -142,9 +139,6 @@ class Interval:
         if r < 0.0:
             raise ValueError("widen radius must be nonnegative")
         return Interval(_down(self.lo - r), _up(self.hi + r))
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "Interval") -> "Interval":
         """Intersection; valid when both sides enclose the same exact set."""

@@ -40,10 +40,6 @@ class AtomicMeasure:
         return int(self.locs.size)
 
 
-def _psi_np(params: SystemParams, x: np.ndarray) -> np.ndarray:
-    return params.psi.eval_np(x)
-
-
 def sample_mx(
     params: SystemParams,
     x: float,
@@ -72,7 +68,7 @@ def sample_mx(
         g = 1.0
         for _ in range(depth):
             z = ((z[:, None] + digits) / b).ravel()
-            acc = np.repeat(acc, b) + g * _psi_np(params, z)
+            acc = np.repeat(acc, b) + g * params.psi.eval_np(z)
             g *= gamma
         masses = np.full(acc.size, 1.0 / n_atoms)
     elif mode == "mc":
@@ -85,7 +81,7 @@ def sample_mx(
         for _ in range(depth):
             z += rng.integers(0, b, size=n_samples)
             z /= b
-            term = _psi_np(params, z)
+            term = params.psi.eval_np(z)
             term *= g
             acc += term
             g *= gamma
@@ -93,7 +89,8 @@ def sample_mx(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     order = np.argsort(acc, kind="stable")
-    return AtomicMeasure(acc[order], masses[order], depth, tail_value(params, depth))
+    blur = tail_value(params.psi_sup, params.gamma_iv, depth)
+    return AtomicMeasure(acc[order], masses[order], depth, blur)
 
 
 def corr_sq_norm(mu: AtomicMeasure, r: float) -> float:
@@ -141,7 +138,7 @@ def fiber_affine(params: SystemParams, x: float, w: Word) -> FiberAffine:
     g = 1.0
     for d in w:
         z = (z + d) / params.b
-        offset += g * float(_psi_np(params, np.array([z]))[0])
+        offset += g * float(params.psi.eval_np(np.array([z]))[0])
         g *= gamma
     return FiberAffine(gamma**q, offset, q)
 
@@ -167,44 +164,27 @@ class IrEstimate:
     truncation_warning: bool
 
 
-def i_r_estimate(
-    params: SystemParams,
-    r: float,
-    grid: int,
-    depth: int,
-    omega=None,
-    mode: str = "exact",
-    n_samples: int | None = None,
-    seed: int | None = None,
-) -> IrEstimate:
-    """Midpoint-rule estimate of I_r = (1/r^2) int omega(x) ||m_x||_r^2 dx."""
-    return i_r_table(
-        params, [r], grid, depth, omega=omega, mode=mode, n_samples=n_samples, seed=seed
-    )[0]
-
-
 def i_r_table(
     params: SystemParams,
     radii,
     grid: int,
     depth: int,
-    omega=None,
     mode: str = "exact",
     n_samples: int | None = None,
     seed: int | None = None,
 ) -> list[IrEstimate]:
-    """I_r estimates for several radii, building each fiber measure once."""
+    """Midpoint-rule estimates of I_r = (1/r^2) int ||m_x||_r^2 dx for
+    several radii, building each fiber measure once."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
-    blur = tail_value(params, depth)
+    blur = tail_value(params.psi_sup, params.gamma_iv, depth)
     acc = [0.0] * len(radii)
     for j in range(grid):
         x = (j + 0.5) / grid
         mu = sample_mx(params, x, depth, mode=mode, n_samples=n_samples, seed=seed)
-        w = 1.0 if omega is None else float(omega(x))
         for i, r in enumerate(radii):
-            acc[i] += w * corr_sq_norm(mu, r)
+            acc[i] += corr_sq_norm(mu, r)
     return [
         IrEstimate(acc[i] / (grid * r * r), r, depth, grid, r <= blur)
         for i, r in enumerate(radii)
@@ -287,15 +267,6 @@ class SRBHistogram:
     burn_in: int
     rng_kind: str = "numpy PCG64"
 
-    def column_marginal(self) -> np.ndarray:
-        total = self.counts.sum()
-        return self.counts.sum(axis=1) / total
-
-    def column_profile(self, j: int) -> np.ndarray:
-        col = self.counts[j].astype(float)
-        s = col.sum()
-        return col / s if s > 0 else col
-
 
 def srb_sample(
     params: SystemParams,
@@ -328,7 +299,7 @@ def srb_sample(
     # every orbit of b x mod 1 collapses onto 0 after ~53 steps
     for it in range(n_iter):
         y *= params.gamma
-        y += _psi_np(params, x)
+        y += params.psi.eval_np(x)
         x *= params.b
         rng.random(out=kick)
         kick *= noise

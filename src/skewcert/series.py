@@ -195,6 +195,9 @@ class SystemParams:
     dpsi: TrigPoly = field(init=False, repr=False)
     psi_sup: float = field(init=False)
     dpsi_sup: float = field(init=False)
+    # enclosures of gamma and b, read by every series bound and loop
+    gamma_iv: Interval = field(init=False, repr=False)
+    b_iv: Interval = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.b, int) or self.b < 2:
@@ -211,33 +214,14 @@ class SystemParams:
         object.__setattr__(self, "_dpsi_terms", self.dpsi._terms_on(harmonics))
         object.__setattr__(self, "psi_sup", self.psi.sup_bound())
         object.__setattr__(self, "dpsi_sup", self.dpsi.sup_bound())
+        object.__setattr__(self, "gamma_iv", Interval.point(self.gamma))
+        object.__setattr__(self, "b_iv", Interval.point(float(self.b)))
         one = Interval.point(1.0)
         object.__setattr__(self, "_ladder", ((one, one.scale_div(self.b)),))
-
-    @property
-    def lam(self) -> float:
-        return 1.0 / (self.gamma * self.b)
 
     @staticmethod
     def classical(b: int, gamma: float) -> "SystemParams":
         return SystemParams(b=b, gamma=gamma, psi=classical_psi())
-
-    # enclosures reused by the series loops (cached: params is frozen)
-    @property
-    def gamma_iv(self) -> Interval:
-        iv = getattr(self, "_gamma_iv", None)
-        if iv is None:
-            iv = Interval.point(self.gamma)
-            object.__setattr__(self, "_gamma_iv", iv)
-        return iv
-
-    @property
-    def b_iv(self) -> Interval:
-        iv = getattr(self, "_b_iv", None)
-        if iv is None:
-            iv = Interval.point(float(self.b))
-            object.__setattr__(self, "_b_iv", iv)
-        return iv
 
     def powers(self, n: int) -> tuple[Interval, Interval]:
         """Enclosures of gamma^n and gamma^n b^-(n+1), the weights of the
@@ -259,8 +243,9 @@ class SystemParams:
             object.__setattr__(self, "_ladder", ladder)
         return ladder[n]
 
+
 # ---------------------------------------------------------------------
-# words and codes
+# words
 
 
 def check_word(b: int, w: Sequence[int]) -> Word:
@@ -304,39 +289,11 @@ def adding_machine(b: int, w: Sequence[int]) -> tuple[Word, bool]:
     return tuple(out), bool(carry)
 
 
-@dataclass(frozen=True)
-class Code:
-    """Finite prefix of an infinite digit code plus certified tail radii.
-
-    Any infinite continuation of `prefix` has its S-value within
-    `tail_val` of the depth-N partial sum, and its S'-value within
-    `tail_der`.
-    """
-
-    prefix: Word
-    tail_val: float
-    tail_der: float
-
-    @property
-    def depth(self) -> int:
-        return len(self.prefix)
-
-    @staticmethod
-    def make(params: SystemParams, prefix: Sequence[int]) -> "Code":
-        prefix = check_word(params.b, prefix)
-        n = len(prefix)
-        return Code(prefix, tail_value(params, n), tail_deriv(params, n))
-
-    @staticmethod
-    def zeros(params: SystemParams, depth: int) -> "Code":
-        return Code.make(params, (0,) * depth)
-
-
-def tail_value(params: SystemParams, n: int) -> float:
-    """Upper bound for |S - depth-n partial sum|: psi_sup gamma^n / (1-gamma)."""
-    g = params.gamma_iv
-    num = Interval.point(params.psi_sup) * g.pow_int(n)
-    return (num / (Interval.point(1.0) - g)).hi
+def tail_value(sup: float, ratio: Interval, n: int) -> float:
+    """Upper bound sup ratio^n / (1 - ratio) for the tail past term n of a
+    series sum ratio^k f_k with |f_k| <= sup: with sup = psi_sup and ratio
+    gamma, that of S; with phi_sup and lam, that of the Weierstrass sum."""
+    return (Interval.point(sup) * ratio.pow_int(n) / (Interval.point(1.0) - ratio)).hi
 
 
 def tail_deriv(params: SystemParams, n: int) -> float:
@@ -457,14 +414,9 @@ class Chain:
         return chain
 
 
-def eval_S(params: SystemParams, x: Interval, code: Code) -> Interval:
-    """Enclosure of S(x, i) for every infinite continuation i of the prefix."""
-    return Chain.root(x).walk(params, code.prefix).p.widen(code.tail_val)
-
-
-def weierstrass_tail(lam: float, phi_sup: float, depth: int) -> float:
-    """Upper bound lam^depth * phi_sup / (1 - lam)."""
-    lam_iv = Interval.point(lam)
-    return (
-        Interval.point(phi_sup) * lam_iv.pow_int(depth) / (Interval.point(1.0) - lam_iv)
-    ).hi
+def eval_S(params: SystemParams, x: Interval, prefix: Sequence[int]) -> Interval:
+    """Enclosure of S(x, i) for every infinite continuation i of `prefix`."""
+    prefix = check_word(params.b, prefix)
+    return Chain.root(x).walk(params, prefix).p.widen(
+        tail_value(params.psi_sup, params.gamma_iv, len(prefix))
+    )

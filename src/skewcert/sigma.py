@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from .certifier import Budget, PairGraph, e_upper, tangency_graph
+from .certifier import Budget, PairGraph, tangency_graph
 from .series import SystemParams, Word
 
 SQRT2 = math.sqrt(2.0)
@@ -197,8 +197,7 @@ def sigma_upper(graph: PairGraph, params: SystemParams, q: int) -> SigmaScheme:
     """
     if q != graph.q:
         raise ValueError("graph was built for a different q")
-    _, e_glob = e_upper(graph)
-    schemes: list[SigmaScheme] = [SigmaScheme("trivial", float(e_glob))]
+    schemes: list[SigmaScheme] = [SigmaScheme("trivial", float(max(graph.e_by_cell())))]
     for checker in (check_sqrt2, check_three_tier, check_golden):
         s = checker(graph)
         if s is not None:
@@ -320,9 +319,10 @@ def certify_main(
     rung's certified pairs for the next (transversality is monotone in the
     margins).  Each rung first certifies at a node budget of at most
     PROBE_NODES; only when that graph's bound misses the target are its
-    unresolved pairs certified again at the full budget.  Certification of
-    one pair is deterministic, so a missed rung ends with the graph a
-    single full-budget pass would give.
+    unresolved pairs certified again at the full budget, whatever their
+    probe certificate stopped on.  Certification of one pair is
+    deterministic, so a missed rung ends with the graph a single
+    full-budget pass would give.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
@@ -341,7 +341,7 @@ def certify_main(
                 nodes += graph.nodes
                 scheme = sigma_upper(graph, params, q)
             prior = graph
-            _, e_glob = e_upper(graph)
+            e_glob = max(graph.e_by_cell())
             rung = RungReport(
                 q, eps, eps, e_glob, scheme, target, nodes, graph if keep_graphs else None
             )

@@ -72,7 +72,7 @@ def s_batch(params: SystemParams, xs: np.ndarray, digit_rows: np.ndarray):
 def oracle_depth(params: SystemParams, eps: float, floor: int = 30) -> int:
     """Depth making the truncation slack at most eps/4 (at least `floor`)."""
     n = floor
-    while 2.0 * tail_value(params, n) > 0.25 * eps and n < 2000:
+    while 2.0 * tail_value(params.psi_sup, params.gamma_iv, n) > 0.25 * eps and n < 2000:
         n += 10
     return n
 
@@ -107,7 +107,7 @@ def count_tangency_samples(
     )
     val_u, der_u = s_batch(params, xs, rows_u)
     val_v, der_v = s_batch(params, xs, rows_v)
-    slack_v = 2.0 * tail_value(params, q + depth)
+    slack_v = 2.0 * tail_value(params.psi_sup, params.gamma_iv, q + depth)
     slack_d = 2.0 * tail_deriv(params, q + depth)
     bad = (np.abs(val_u - val_v) <= max(eps - slack_v, 0.0)) & (
         np.abs(der_u - der_v) <= max(delta - slack_d, 0.0)

@@ -94,11 +94,14 @@ def test_box_count_certified_overcount():
 
 def test_box_count_scale_preconditions():
     s = sample_graph(0.7, 2, 10)
-    with pytest.raises(ValueError):
-        box_count_dim(s, [12])  # finer than the grid
+    with pytest.raises(ValueError, match="finer than the sample grid"):
+        box_count_dim(s, [4, 12])
+    for exps in ([], [5]):
+        with pytest.raises(ValueError, match="two scales"):
+            box_count_dim(s, exps)  # no slope to fit
     coarse = sample_graph(0.7, 2, 12, depth=10)  # fat tail
-    with pytest.raises(ValueError):
-        box_count_dim(coarse, [10])
+    with pytest.raises(ValueError, match="inside the truncation tail"):
+        box_count_dim(coarse, [2, 10])
 
 
 def test_graph_local_dim_constant():

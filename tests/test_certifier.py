@@ -15,7 +15,6 @@ from skewcert.certifier import (
     all_words,
     certify_pair,
     delta_max,
-    e_upper,
     tangency_graph,
     theta_bound,
 )
@@ -37,7 +36,8 @@ def test_pair_diff_tails_shrink(p27):
     tv2, td2, _ = certifier._pair_bounds(p27, 1, 7)
     assert all(a > b for a, b in zip(tv2, tv2[1:]))
     assert all(a > b for a, b in zip(td2, td2[1:]))
-    assert tv2[0] == 2 * tail_value(p27, 1) and td2[-1] == 2 * tail_deriv(p27, 8)
+    assert tv2[0] == 2 * tail_value(p27.psi_sup, p27.gamma_iv, 1)
+    assert td2[-1] == 2 * tail_deriv(p27, 8)
 
 
 def test_pair_diff_contains_all_samples():
@@ -50,7 +50,7 @@ def test_pair_diff_contains_all_samples():
     cell = Interval(0.25, 0.26)
     ca = Chain.root(cell).walk(params, ka)
     cb = Chain.root(cell).walk(params, lb)
-    val = (ca.p - cb.p).widen(2 * tail_value(params, len(ka)))
+    val = (ca.p - cb.p).widen(2 * tail_value(params.psi_sup, params.gamma_iv, len(ka)))
     der = (ca.dp - cb.dp).widen(2 * tail_deriv(params, len(ka)))
     rng = np.random.default_rng(6)
     xs = np.linspace(0.25, 0.26, 200)
@@ -171,7 +171,7 @@ def test_graph_zero_psi_everything_unresolved():
     g = tangency_graph(params, 1, 2, 1e-3, 1e-3)
     for j in range(4):
         assert len(g.unresolved[j]) == 1  # the single off-diagonal pair
-    _, e = e_upper(g)
+    e = max(g.e_by_cell())
     assert e == 2
 
 
@@ -238,25 +238,29 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
         )
 
 
-def test_full_pass_certifies_only_node_budget_pairs(monkeypatch):
-    # a probe certificate that stopped on "depth budget" (or "tangency
-    # witness") comes back unchanged at the full budget, so the full pass
-    # inherits it and calls certify_pair only on the probe's "node budget"
-    # pairs; the graph is the one a single full-budget pass gives
+def test_full_pass_certifies_again_the_probe_non_transversal_pairs(monkeypatch):
+    # the full pass inherits only the probe's transversal certificates: it
+    # calls certify_pair once on each pair that the probe certified directly
+    # and left unresolved, whatever it stopped on, and mirrors the others;
+    # the graph is the one a single full-budget pass gives
     params = SystemParams.classical(2, 0.98)
     eps = 1e-2
     direct = tangency_graph(params, 1, 4, eps, eps)
     probe = tangency_graph(params, 1, 4, eps, eps, Budget(max_nodes=1024))
-    reasons = {key: c.reason for key, c in probe.certificates.items() if not c.transversal}
-    assert set(reasons.values()) == {"node budget", "depth budget"}
+    missed = {
+        key: c.reason
+        for key, c in probe.certificates.items()
+        if not c.transversal and c.derived_from is None
+    }
+    assert set(missed.values()) == {"node budget", "depth budget"}
     calls = _record_certify_calls(monkeypatch)
     full = tangency_graph(params, 1, 4, eps, eps, Budget(), prior=probe)
     cells = {(probe.cell_interval(j).lo, probe.cell_interval(j).hi): j for j in range(16)}
     called = [(cells[(t.cell.lo, t.cell.hi)], *t.pair) for t in calls]
-    assert called and all(reasons.get(key) == "node budget" for key in called)
-    for key, reason in reasons.items():
-        if reason == "depth budget":
-            assert full.certificates[key] is probe.certificates[key]
+    assert sorted(called) == sorted(missed)
+    for key, cert in probe.certificates.items():
+        if cert.transversal:
+            assert full.certificates[key] is cert
     assert full.unresolved == direct.unresolved
     for key, cert in direct.certificates.items():
         got = full.certificates[key]
@@ -325,7 +329,7 @@ def test_derived_certificate_soundness_fuzz():
             vu, du = s_batch(params, xs, np.hstack([np.tile(k + leaf.ext_a, (30, 1)), tails[0]]))
             vv, dv = s_batch(params, xs, np.hstack([np.tile(l + leaf.ext_b, (30, 1)), tails[1]]))
             n = len(k) + len(leaf.ext_a) + depth
-            tol_v = 2 * tail_value(params, n) + 1e-12
+            tol_v = 2 * tail_value(params.psi_sup, params.gamma_iv, n) + 1e-12
             tol_d = 2 * tail_deriv(params, n) + 1e-12
             assert leaf.val_lo - tol_v <= (vu - vv).min() and (vu - vv).max() <= leaf.val_hi + tol_v
             if leaf.margin == "deriv":
@@ -337,14 +341,15 @@ def test_derived_certificate_soundness_fuzz():
 def test_e_upper_examples():
     params = SystemParams.classical(2, 0.6)
     g = tangency_graph(params, 1, 3, 1e-2, 1e-2)
-    per, glob = e_upper(g)
+    per = g.e_by_cell()
+    glob = max(per)
     assert glob == 1 and all(v == 1 for v in per)
 
 
 def test_e_upper_refinement_monotone():
     params = SystemParams.classical(2, 0.75)
-    _, coarse = e_upper(tangency_graph(params, 1, 3, 1e-2, 1e-2))
-    _, fine = e_upper(tangency_graph(params, 1, 5, 1e-2, 1e-2))
+    coarse = max(tangency_graph(params, 1, 3, 1e-2, 1e-2).e_by_cell())
+    fine = max(tangency_graph(params, 1, 5, 1e-2, 1e-2).e_by_cell())
     assert fine <= coarse
 
 

@@ -501,6 +501,9 @@ def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, bad):
         {"grid_p": -1},
         {"eps_ladder": [0.01, 0]},
         {"max_nodes": "10"},
+        {"gamma_start": "0.3"},
+        {"gamma_step": "0.1"},
+        {"b": "6"},
     ],
 )
 def test_sweep_checks_settings_before_any_job(tmp_path, capsys, monkeypatch, bad):
@@ -533,9 +536,22 @@ BOXDIM_CFG = {"lam": 0.7, "b": 2, "m": 12, "local_dim": True}
         ("boxdim", {"depth": "9"}),
         ("boxdim", {"centers": 0}),
         ("boxdim", {"seed": True}),
+        ("measure", {"r_exponents": 5}),
+        ("measure", {"local_dim_exponents": [4, "5"]}),
+        ("measure", {"srb": True, "srb_points": "20"}),
+        ("measure", {"srb": True, "srb_burn_in": -1}),
+        ("measure", {"x": [0.3]}),
+        ("boxdim", {"scale_exponents": 5}),
+        ("boxdim", {"local_dim_exponents": [4.0, 5.0]}),
+        ("boxdim", {"lam": "0.7"}),
     ],
 )
-def test_malformed_measure_or_boxdim_count_is_invalid_config(tmp_path, capsys, command, bad):
+def test_malformed_measure_or_boxdim_count_is_invalid_config(
+    tmp_path, capsys, monkeypatch, command, bad
+):
+    # a malformed setting fails before any sampling starts
+    for name in ("sample_mx", "srb_sample", "sample_graph"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("sampling started"))
     base = MEASURE_CFG if command == "measure" else BOXDIM_CFG
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**base, **bad}))

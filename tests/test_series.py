@@ -8,7 +8,6 @@ from skewcert.interval import Interval
 from skewcert.boxdim import sample_graph
 from skewcert.series import (
     Chain,
-    Code,
     InvalidWordError,
     SystemParams,
     TrigPoly,
@@ -47,7 +46,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams.classical(2, "0.7")  # gamma must be a number
     p = SystemParams.classical(3, 0.5)
-    assert p.lam == pytest.approx(1 / 1.5)
+    assert p.gamma_iv == Interval.point(0.5) and p.b_iv == Interval.point(3.0)
 
 
 def test_sup_norm_bounds(p26):
@@ -61,9 +60,13 @@ def test_sup_norm_bounds(p26):
     assert np.max(np.abs(p26.dpsi.eval_np(xs))) <= p26.dpsi_sup
 
 
-def _s_prime(params, x, code):
-    """Enclosure of S'(x, i) over every continuation i of the code's prefix."""
-    return Chain.root(x).walk(params, code.prefix).dp.widen(code.tail_der)
+def _s_prime(params, x, prefix):
+    """Enclosure of S'(x, i) over every continuation i of `prefix`."""
+    return Chain.root(x).walk(params, prefix).dp.widen(tail_deriv(params, len(prefix)))
+
+
+def _tail_val(params, n):
+    return tail_value(params.psi_sup, params.gamma_iv, n)
 
 
 def test_x_of_word_examples(p26):
@@ -77,9 +80,9 @@ def test_x_of_word_examples(p26):
 
 
 def test_x_of_word_rejects_bad_digits(p26):
-    # words enter through Code.make (and CertTask), which check their digits
+    # words enter through eval_S (and CertTask), which check their digits
     with pytest.raises(InvalidWordError):
-        Code.make(p26, (2,))
+        eval_S(p26, Interval.point(0.0), (2,))
 
 
 def test_x_of_word_contracts_width(p26):
@@ -89,17 +92,15 @@ def test_x_of_word_contracts_width(p26):
 
 
 def test_eval_S_zero_case(p26):
-    code = Code.zeros(p26, 10)
-    s = eval_S(p26, Interval.point(0.0), code)
+    s = eval_S(p26, Interval.point(0.0), (0,) * 10)
     assert s.contains(0.0)
-    assert s.width() <= 2 * code.tail_val * (1 + 1e-9)
+    assert s.width() <= 2 * _tail_val(p26, 10) * (1 + 1e-9)
 
 
 def test_eval_S_golden(p26):
-    code = Code.zeros(p26, 20)
-    s = eval_S(p26, Interval.point(1.0), code)
+    s = eval_S(p26, Interval.point(1.0), (0,) * 20)
     assert s.contains(GOLDEN_S_1_ZEROS20)
-    assert s.width() <= 2 * code.tail_val + 1e-10
+    assert s.width() <= 2 * _tail_val(p26, 20) + 1e-10
 
 
 def test_eval_S_symmetry_pair(p27):
@@ -108,21 +109,21 @@ def test_eval_S_symmetry_pair(p27):
     for _ in range(40):
         x = rnd.random()
         u = tuple(rnd.randrange(2) for _ in range(14))
-        a = eval_S(p27, Interval.point(x), Code.make(p27, u))
-        b = eval_S(p27, Interval.point(1 - x), Code.make(p27, reflect_word(2, u)))
+        a = eval_S(p27, Interval.point(x), u)
+        b = eval_S(p27, Interval.point(1 - x), reflect_word(2, u))
         assert (-a).intersects(b)
 
 
 def test_eval_S_prime_closed_form(p26):
     # all arguments hit 0 where psi'(0) = -4 pi^2: geometric sum -4pi^2/(b-gamma)
-    s = _s_prime(p26, Interval.point(0.0), Code.zeros(p26, 60))
+    s = _s_prime(p26, Interval.point(0.0), (0,) * 60)
     assert s.contains(-4 * math.pi**2 / (2 - 0.6))
 
 
 def test_eval_S_prime_nesting(p26):
     x = Interval.point(0.37)
-    deep = _s_prime(p26, x, Code.zeros(p26, 12))
-    shallow = _s_prime(p26, x, Code.zeros(p26, 11))
+    deep = _s_prime(p26, x, (0,) * 12)
+    shallow = _s_prime(p26, x, (0,) * 11)
     assert deep.width() <= shallow.width()
     assert deep.intersects(shallow)
 
@@ -134,17 +135,17 @@ def test_global_bounds(p27):
     for _ in range(60):
         x = Interval.point(rnd.uniform(0, 1))
         u = tuple(rnd.randrange(2) for _ in range(10))
-        assert eval_S(p27, x, Code.make(p27, u)).mag() <= vb + 1e-9
-        assert _s_prime(p27, x, Code.make(p27, u)).mag() <= db + 1e-9
+        assert eval_S(p27, x, u).mag() <= vb + 1e-9
+        assert _s_prime(p27, x, u).mag() <= db + 1e-9
 
 
 def test_inclusion_monotonicity(p27):
-    code = Code.zeros(p27, 8)
+    prefix = (0,) * 8
     inner = Interval(0.3, 0.4)
     outer = Interval(0.25, 0.45)
-    si = eval_S(p27, inner, code)
-    so = eval_S(p27, outer, code)
-    assert si.is_subset(so)
+    si = eval_S(p27, inner, prefix)
+    so = eval_S(p27, outer, prefix)
+    assert so.lo <= si.lo and si.hi <= so.hi
 
 
 def test_modulus_of_continuity(p27):
@@ -154,8 +155,8 @@ def test_modulus_of_continuity(p27):
         x1 = rnd.random()
         x2 = x1 + rnd.uniform(-0.05, 0.05)
         u = tuple(rnd.randrange(2) for _ in range(25))
-        s1 = eval_S(p27, Interval.point(x1), Code.make(p27, u))
-        s2 = eval_S(p27, Interval.point(x2), Code.make(p27, u))
+        s1 = eval_S(p27, Interval.point(x1), u)
+        s2 = eval_S(p27, Interval.point(x2), u)
         gap = max(abs(s1.mid() - s2.mid()) - s1.width() - s2.width(), 0.0)
         xi = p27.dpsi_sup * abs(x1 - x2)
         assert gap <= xi / (1 - p27.gamma) + 1e-9
@@ -174,12 +175,12 @@ def test_split_self_similar_identity(p27):
             assert pw.contains(0.0) and pw.width() < 1e-15
             assert dpw.contains(0.0)
             continue
-        lhs = eval_S(p27, x, Code.make(p27, w + u))
-        rhs = pw + p27.gamma_iv.pow_int(len(w)) * eval_S(p27, xw, Code.make(p27, u))
+        lhs = eval_S(p27, x, w + u)
+        rhs = pw + p27.gamma_iv.pow_int(len(w)) * eval_S(p27, xw, u)
         assert lhs.intersects(rhs)
-        lhs_d = _s_prime(p27, x, Code.make(p27, w + u))
+        lhs_d = _s_prime(p27, x, w + u)
         rhs_d = dpw + (p27.gamma_iv.scale_div(p27.b)).pow_int(len(w)) * _s_prime(
-            p27, xw, Code.make(p27, u)
+            p27, xw, u
         )
         assert lhs_d.intersects(rhs_d)
 
@@ -190,8 +191,8 @@ def test_split_q1_check(p27):
     w = (1,)
     u = (0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0)
     xw = Chain.root(x).walk(p27, w).z
-    lhs = eval_S(p27, x, Code.make(p27, w + u))
-    rhs = p27.psi.eval_iv(xw) + p27.gamma_iv * eval_S(p27, xw, Code.make(p27, u))
+    lhs = eval_S(p27, x, w + u)
+    rhs = p27.psi.eval_iv(xw) + p27.gamma_iv * eval_S(p27, xw, u)
     assert lhs.intersects(rhs)
 
 
@@ -240,8 +241,7 @@ def test_series_sums_agree_with_chain(p27):
             g = g * p27.gamma_iv
             h = h * p27.gamma_iv.scale_div(2)
         assert _chain_bits(chain) == (_bits(p), _bits(dp), _bits(z), len(w))
-        code = Code.make(p27, w)
-        assert _bits(eval_S(p27, x, code)) == _bits(p.widen(code.tail_val))
+        assert _bits(eval_S(p27, x, w)) == _bits(p.widen(_tail_val(p27, len(w))))
 
 
 def _psi_oracle(poly, z):
@@ -309,13 +309,13 @@ def test_adding_machine_series_identity(p27):
         x = rnd.random()
         u = tuple(rnd.randrange(2) for _ in range(15))
         au, _ = adding_machine(2, u)
-        a = eval_S(p27, Interval.point(x + 1.0), Code.make(p27, u))
-        b = eval_S(p27, Interval.point(x), Code.make(p27, au))
+        a = eval_S(p27, Interval.point(x + 1.0), u)
+        b = eval_S(p27, Interval.point(x), au)
         assert a.intersects(b)
 
 
 def test_weierstrass_examples():
-    # the graph lane's sums lie within the weierstrass_tail radius of the
+    # the graph lane's sums lie within the tail_value radius of the
     # closed forms: W(0) = 1/(1-lambda), and the cosine sum is even
     for lam, b in ((0.5, 3), (0.7, 2)):
         g = sample_graph(lam, b, 10, depth=60)
@@ -333,14 +333,13 @@ def test_weierstrass_rejects_bad_lambda():
 
 
 def test_tail_radii_closed_forms(p26):
-    # the Code invariants: radii match the printed closed forms
+    # the tail radii match the printed closed forms
     for n in (1, 5, 20):
-        code = Code.zeros(p26, n)
         expect_v = p26.psi_sup * 0.6**n / 0.4
         expect_d = p26.dpsi_sup * 0.6**n / (2**n * 1.4)
-        assert code.tail_val == pytest.approx(expect_v, rel=1e-12)
-        assert code.tail_der == pytest.approx(expect_d, rel=1e-12)
-        assert tail_value(p26, n) >= expect_v * (1 - 1e-12)
+        assert _tail_val(p26, n) == pytest.approx(expect_v, rel=1e-12)
+        assert tail_deriv(p26, n) == pytest.approx(expect_d, rel=1e-12)
+        assert _tail_val(p26, n) >= expect_v * (1 - 1e-12)
         assert tail_deriv(p26, n) >= expect_d * (1 - 1e-12)
 
 
@@ -350,9 +349,8 @@ def test_enclosures_contain_float_oracle(p26):
     for _ in range(50):
         x = rnd.uniform(0, 2)
         u = tuple(rnd.randrange(2) for _ in range(18))
-        code = Code.make(p26, u)
-        s = eval_S(p26, Interval.point(x), code)
-        sp = _s_prime(p26, Interval.point(x), code)
+        s = eval_S(p26, Interval.point(x), u)
+        sp = _s_prime(p26, Interval.point(x), u)
         assert s.widen(1e-10).contains(s_partial(p26, x, u))
         assert sp.widen(1e-10).contains(s_prime_partial(p26, x, u))
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from skewcert.certifier import PairGraph, all_words, e_upper, tangency_graph, Budget
+from skewcert.certifier import PairGraph, all_words, tangency_graph, Budget
 from skewcert import certifier, sigma
 from skewcert.series import SystemParams
 from skewcert.sigma import (
@@ -123,7 +123,7 @@ def test_check_one_miss_wins_at_high_degree():
     best = sigma_upper(g, SystemParams.classical(2, 0.9), 2)
     assert best.kind == "one_miss"
     assert best.bound == pytest.approx(2 + 2 / ((1 + math.sqrt(17)) / 4), rel=1e-12)
-    _, e = e_upper(g)
+    e = max(g.e_by_cell())
     assert e == 4 > best.bound
 
 
@@ -143,7 +143,7 @@ def test_trivial_fallback_diagonal_only():
 def test_sigma_never_exceeds_e():
     params = SystemParams.classical(2, 0.75)
     g = tangency_graph(params, 1, 4, 1e-2, 1e-2)
-    _, e = e_upper(g)
+    e = max(g.e_by_cell())
     assert sigma_upper(g, params, 1).bound <= e + 1e-12
 
 
@@ -237,6 +237,20 @@ def test_certify_main_inconclusive_zero_psi():
     assert all(not r.success for r in v.rungs)
     assert v.deciding is None
     assert (v.q, v.scheme, v.sigma_bound, v.target, v.margin, v.eps, v.delta) == (None,) * 7
+
+
+def test_certify_main_zero_psi_full_pass_reruns_tangency_witnesses():
+    # psi = 0 puts every pair in the tangency box at its first node: the
+    # probe certifies the 32 unmirrored cells' pairs (1 node each) and the
+    # full pass, which inherits only transversal certificates, certifies
+    # them again, to the same certificates
+    from skewcert.series import TrigPoly
+
+    v = certify_main(SystemParams(2, 0.7, TrigPoly.zero()), 1, keep_graphs=True)
+    assert not v.success and v.grid_p == 6
+    assert [r.nodes for r in v.rungs] == [64, 64, 64]
+    certs = v.rungs[-1].graph.certificates.values()
+    assert {(c.reason, c.node_count) for c in certs} == {("tangency witness", 1)}
 
 
 def test_unresolved_lists_the_non_transversal_certificates(monkeypatch):

@@ -10,9 +10,12 @@ at a time.  The systems are the 18 certify verdicts (the certify-b6 and
 ladder-b2 benchmark systems, and b = 6, 8, 12 at gamma = 0.2, 0.5, 0.9
 with q <= 1), one inconclusive certify (b = 2, gamma = 0.68, q <= 1:
 three missed rungs, so `certificates.json` comes from the last rung
-tried), the b = 6 sweep, two fiber measures (exact; Monte Carlo
-with the SRB histogram), the box counts of W(0.7, 2) and W(0.5, 3) with
-their local dimension, and the selftest battery.  A last run prints
+tried), one zero-psi certify (b = 2, gamma = 0.7, q <= 1, read from a
+`--config` file that the run writes into its directory: every pair stops
+on a tangency witness at its first node), the b = 6 sweep, two fiber
+measures (exact; Monte Carlo with the SRB histogram), the box counts of
+W(0.7, 2) and W(0.5, 3) with their local dimension, and the selftest
+battery.  A last run prints
 sha256 digests of the chain bits of random walks (b = 2, 3, 6, 12; the
 classical psi and a four-harmonic one) and of the numpy lanes' arrays:
 graph values, graph local-dimension log means, fiber atoms and SRB
@@ -48,7 +51,8 @@ SYSTEMS = (
         ["certify", "--b", str(b), "--gamma", str(g), "--qmax", "1"])
        for b in (6, 8, 12) for g in (0.2, 0.5, 0.9)]
     + [("certify b=2 gamma=0.68 q<=1 (inconclusive)",
-        ["certify", "--b", "2", "--gamma", "0.68", "--qmax", "1"])]
+        ["certify", "--b", "2", "--gamma", "0.68", "--qmax", "1"]),
+       ("certify b=2 gamma=0.7 q<=1 zero psi", ["certify"])]
     + [("sweep b=6 gamma=0.3..0.9",
         ["sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.9",
          "--gamma-step", "0.3", "--qmax", "1", "--threads", "2"])]
@@ -63,6 +67,11 @@ SYSTEMS = (
        for lam, b in ((0.7, 2), (0.5, 3))]
     + [("selftest", ["selftest"])]
 )
+
+# the --config file of each system that takes one (certify has no --psi flag)
+CONFIGS = {
+    "certify b=2 gamma=0.7 q<=1 zero psi": {"b": 2, "gamma": 0.7, "qmax": 1, "psi": "zero"},
+}
 
 DIGEST = """
 import hashlib, random
@@ -110,14 +119,18 @@ for name, arrays in lanes.items():
 """
 
 
-def _run(tree: Path, argv: list[str], where: Path) -> dict:
-    """One CLI run (or the digest, for argv None) in its own directory."""
+def _run(tree: Path, argv: list[str], where: Path, config: dict | None) -> dict:
+    """One CLI run (or the digest, for argv None) in its own directory,
+    where `config`, when given, is written and passed as --config."""
     where.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     if argv is None:
         cmd = [sys.executable, "-c", DIGEST]
     else:
         out_flag = [] if argv[0] == "selftest" else ["--out", "out"]
+        if config is not None:
+            (where / "config.json").write_text(json.dumps(config, sort_keys=True))
+            out_flag += ["--config", "config.json"]
         cmd = [sys.executable, "-m", "skewcert.cli", *argv, *out_flag]
     done = subprocess.run(cmd, cwd=where, env=env, capture_output=True)
     out = where / "out"
@@ -186,13 +199,13 @@ def main(argv: list[str] | None = None) -> int:
     work = Path(tempfile.mkdtemp(prefix="byte_gate_"))
     systems = [*SYSTEMS, ("chain-bits and numpy-lane digest", None)]
     jobs = [
-        (i, side, tree, cli_args)
-        for i, (_, cli_args) in enumerate(systems)
+        (i, side, tree, cli_args, CONFIGS.get(name))
+        for i, (name, cli_args) in enumerate(systems)
         for side, tree in (("parent", args.parent), ("change", args.change))
     ]
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(
-            lambda job: _run(job[2], job[3], work / f"{job[0]:02d}-{job[1]}"), jobs
+            lambda job: _run(job[2], job[3], work / f"{job[0]:02d}-{job[1]}", job[4]), jobs
         ))
     failed = 0
     for i, (name, _) in enumerate(systems):
