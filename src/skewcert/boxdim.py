@@ -15,7 +15,11 @@ j b mod 2^m of the (n-1)-th argument, and the n-th phi values are the
 table. Summed in series order, they give the plain series loop's values.
 Read at j b mod 2^m, the grid splits into b runs of consecutive j, each
 a stride-b slice, so every step is b strided copies rather than a
-gather at scattered indices.
+gather at scattered indices. For even b, b^s is a multiple of 2^m from
+some step s on (s = m at b = 2), and then every argument b^s j mod 2^m is
+0: the table is constant, and each later term adds cur[0] times lam^n,
+the same product and sum as the array step, with no copies. Odd b never
+gets there.
 """
 
 from __future__ import annotations
@@ -80,13 +84,19 @@ def sample_graph(
     acc = np.zeros(n)
     # grid indices j in [lo[k], lo[k + 1]) read index b j - k n
     lo = [-(-k * n // b) for k in range(b + 1)]
+    shift = 1 % n  # b^s mod 2^m at step s
     g = 1.0
     for _ in range(depth):
-        np.multiply(cur, g, out=term)
-        acc += term
-        for k in range(b):
-            nxt[lo[k] : lo[k + 1]] = cur[b * lo[k] - k * n :: b][: lo[k + 1] - lo[k]]
-        cur, nxt = nxt, cur
+        if shift == 0:
+            # every argument is 0 from here on, so every entry is cur[0]
+            acc += cur[0] * g
+        else:
+            np.multiply(cur, g, out=term)
+            acc += term
+            for k in range(b):
+                nxt[lo[k] : lo[k + 1]] = cur[b * lo[k] - k * n :: b][: lo[k + 1] - lo[k]]
+            cur, nxt = nxt, cur
+            shift = shift * b % n
         g *= lam
     phi_sup = phi.sup_bound()
     tail = tail_value(phi_sup, Interval.point(lam), depth)

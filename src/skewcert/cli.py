@@ -291,9 +291,13 @@ def cmd_measure(cfg: dict, out: Path) -> int:
         raise ValueError(f"x must be a number, got {x!r}")
     depth = _count("depth", cfg.get("depth", 14), 0)
     mode = cfg.get("mode", "exact")
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"mode must be \"exact\" or \"mc\", got {mode!r}")
     n_samples = cfg.get("samples")
     if n_samples is not None:
         _count("samples", n_samples, 1)
+    elif mode == "mc":
+        raise ValueError("mode \"mc\" needs samples")
     seed = _count("seed", cfg.get("seed", 0), 0)
     grid = _count("grid", cfg.get("grid", 64), 1)
     centers = _count("centers", cfg.get("centers", 100), 1)

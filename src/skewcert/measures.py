@@ -56,6 +56,7 @@ def sample_mx(
     """
     b = params.b
     gamma = params.gamma
+    digits = np.arange(b, dtype=float)
     if mode == "exact":
         n_atoms = b**depth
         if n_atoms > atom_budget:
@@ -64,33 +65,52 @@ def sample_mx(
             )
         z = np.array([float(x)])
         acc = np.zeros(1)
-        digits = np.arange(b, dtype=float)
         g = 1.0
         for _ in range(depth):
             z = ((z[:, None] + digits) / b).ravel()
             acc = np.repeat(acc, b) + g * params.psi.eval_np(z)
             g *= gamma
-        masses = np.full(acc.size, 1.0 / n_atoms)
     elif mode == "mc":
         if not n_samples or n_samples < 1:
             raise ValueError("mc mode wants n_samples >= 1")
         rng = np.random.default_rng(seed)
-        z = np.full(n_samples, float(x))
         acc = np.zeros(n_samples)
+        # After k steps z takes at most b^k values. While that table holds at
+        # most a quarter as many entries as there are samples, step the
+        # table as exact mode does, evaluate psi on it, and gather: a sample
+        # with digits d_1 .. d_k reads entry idx = d_1 b^(k-1) + ... + d_k,
+        # whose z is (z + d) / b in the same floats as the per-sample loop.
+        z = np.array([float(x)])
+        idx = np.zeros(n_samples, dtype=np.int64)
         g = 1.0
-        for _ in range(depth):
+        step = 0
+        while step < depth and 4 * b * z.size <= n_samples:
+            idx *= b
+            idx += rng.integers(0, b, size=n_samples)
+            z = ((z[:, None] + digits) / b).ravel()
+            term = params.psi.eval_np(z)
+            term *= g
+            acc += term[idx]
+            g *= gamma
+            step += 1
+        z = z[idx]
+        for _ in range(step, depth):
             z += rng.integers(0, b, size=n_samples)
             z /= b
             term = params.psi.eval_np(z)
             term *= g
             acc += term
             g *= gamma
-        masses = np.full(n_samples, 1.0 / n_samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    order = np.argsort(acc, kind="stable")
+    # Every atom has the same mass, so only the locations need sorting, and
+    # any sort gives the stable argsort's bytes: tied floats are equal bit
+    # for bit unless they are +0.0 and -0.0, and acc is never -0.0 (it
+    # starts at +0.0, and a round-to-nearest sum is -0.0 only when both
+    # addends are).
+    acc.sort()
     blur = tail_value(params.psi_sup, params.gamma_iv, depth)
-    return AtomicMeasure(acc[order], masses[order], depth, blur)
+    return AtomicMeasure(acc, np.full(acc.size, 1.0 / acc.size), depth, blur)
 
 
 def corr_sq_norm(mu: AtomicMeasure, r: float) -> float:
@@ -268,6 +288,25 @@ class SRBHistogram:
     rng_kind: str = "numpy PCG64"
 
 
+def _bin_index(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bin of each v in [edges[0], edges[-1]] by np.histogram2d's rule: bin i
+    holds edges[i] <= v < edges[i + 1], and the last bin also its right
+    edge. This is np.searchsorted(edges, v, "right") - 1 clamped to the last
+    bin, without the binary search: the float guess (v - lo) / w and the
+    linspace edges both sit within a few ulps of the exact lo + i w, so the
+    guess is off by at most one bin, and one comparison with each of its
+    two edges corrects it."""
+    n = edges.size - 1
+    w = (edges[-1] - edges[0]) / n
+    i = ((v - edges[0]) / w).astype(np.int64)
+    np.clip(i, 0, n - 1, out=i)
+    up = edges[i + 1] <= v
+    i -= edges[i] > v
+    i += up
+    np.minimum(i, n - 1, out=i)
+    return i
+
+
 def srb_sample(
     params: SystemParams,
     n_points: int,
@@ -306,14 +345,10 @@ def srb_sample(
         x += kick
         np.mod(x, 1.0, out=x)
         if it >= burn_in:
-            # bin i holds edges[i] <= v < edges[i + 1], and the last bin also
-            # its right edge (np.histogram2d's rule; x < 1 and y is clipped,
-            # so no point falls outside)
+            # x < 1 and y is clipped, so no point falls outside the edges
             np.clip(y, -y_max, y_max, out=yc)
-            ix = np.searchsorted(x_edges, x, side="right") - 1
-            iy = np.searchsorted(y_edges, yc, side="right") - 1
-            np.minimum(ix, nx - 1, out=ix)
-            np.minimum(iy, ny - 1, out=iy)
+            ix = _bin_index(x_edges, x)
+            iy = _bin_index(y_edges, yc)
             ix *= ny
             ix += iy
             flat += np.bincount(ix, minlength=nx * ny)

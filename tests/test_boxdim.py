@@ -135,19 +135,29 @@ def test_graph_sample_global_bound():
 
 
 @pytest.mark.parametrize(
-    "lam,b,phi",
+    "lam,b,phi,depth",
     [
-        (0.7, 2, None),
-        (0.5, 3, None),
-        (0.45, 5, None),
-        (0.4, 6, None),
-        (0.6, 2, TrigPoly.from_floats(cos=[0.3, 0.0, -1.2], sin=[0.7, 0.25])),
-        (0.5, 3, TrigPoly.from_floats(cos=[0.0, 0.4], sin=[1.0, 0.0, 0.1])),
+        pytest.param(0.7, 2, None, None, id="0.7-2-None"),
+        pytest.param(0.5, 3, None, None, id="0.5-3-None"),
+        pytest.param(0.45, 5, None, None, id="0.45-5-None"),
+        pytest.param(0.4, 6, None, None, id="0.4-6-None"),
+        pytest.param(
+            0.6, 2, TrigPoly.from_floats(cos=[0.3, 0.0, -1.2], sin=[0.7, 0.25]), None,
+            id="0.6-2-phi4",
+        ),
+        pytest.param(
+            0.5, 3, TrigPoly.from_floats(cos=[0.0, 0.4], sin=[1.0, 0.0, 0.1]), None,
+            id="0.5-3-phi5",
+        ),
+        pytest.param(0.45, 4, None, None, id="0.45-4-None"),
+        pytest.param(0.7, 2, None, 12, id="0.7-2-None-depth12"),
     ],
 )
-def test_sample_graph_matches_plain_series(lam, b, phi):
-    # moving the phi table along b j mod 2^m gives the plain series loop's bytes
-    s = sample_graph(lam, b, 13, phi=phi)
+def test_sample_graph_matches_plain_series(lam, b, phi, depth):
+    # moving the phi table along b j mod 2^m, and adding its one value once
+    # b^n j mod 2^m is 0 for every j (even b, n >= m at b = 2), gives the
+    # plain series loop's bytes; at depth 12 < m the table never gets there
+    s = sample_graph(lam, b, 13, depth=depth, phi=phi)
     plain = graph_values_plain(lam, b, 13, s.depth, phi or classical_phi())
     assert s.values.tobytes() == plain.tobytes()
 

@@ -544,6 +544,8 @@ BOXDIM_CFG = {"lam": 0.7, "b": 2, "m": 12, "local_dim": True}
         ("boxdim", {"scale_exponents": 5}),
         ("boxdim", {"local_dim_exponents": [4.0, 5.0]}),
         ("boxdim", {"lam": "0.7"}),
+        ("measure", {"srb": True, "mode": "foo"}),
+        ("measure", {"srb": True, "mode": "mc"}),
     ],
 )
 def test_malformed_measure_or_boxdim_count_is_invalid_config(

@@ -9,6 +9,7 @@ from skewcert.series import SystemParams, TrigPoly, classical_psi, eval_S
 from skewcert.measures import (
     AtomicMeasure,
     FiberAffine,
+    _bin_index,
     ball_masses,
     corr_sq_norm,
     fiber_affine,
@@ -78,14 +79,34 @@ def test_sample_mx_mc_seeded(p27):
     assert np.all((a.locs >= s.lo) & (a.locs <= s.hi))
 
 
-@pytest.mark.parametrize("b,gamma", [(2, 0.7), (3, 0.5)])
-@pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_sample_mx_matches_plain_loops(b, gamma, mode):
-    # in-place updates give the bytes of the loops that allocate every step
-    params = SystemParams.classical(b, gamma)
+FOUR_HARMONICS = TrigPoly.from_floats(cos=[0.3, 0.0, -1.2, 0.05], sin=[0.7, 0.25, 0.0, 0.1])
+
+
+@pytest.mark.parametrize(
+    "b,gamma,psi",
+    [
+        pytest.param(2, 0.7, None, id="2-0.7"),
+        pytest.param(3, 0.5, None, id="3-0.5"),
+        pytest.param(2, 0.8, FOUR_HARMONICS, id="2-0.8-four"),
+        pytest.param(3, 0.8, FOUR_HARMONICS, id="3-0.8-four"),
+    ],
+)
+@pytest.mark.parametrize(
+    "mode,depth",
+    [
+        pytest.param("exact", 9, id="exact"),
+        pytest.param("mc", 9, id="mc"),
+        pytest.param("mc", 25, id="mc-depth25"),
+    ],
+)
+def test_sample_mx_matches_plain_loops(b, gamma, psi, mode, depth):
+    # the psi table of the early mc steps (3000 samples: 9 steps at b = 2,
+    # 6 at b = 3), the in-place updates and the plain sort give the bytes of
+    # the loops that step every sample, allocate every step and argsort
+    params = SystemParams.classical(b, gamma) if psi is None else SystemParams(b, gamma, psi)
     n_samples = 3000 if mode == "mc" else None
-    mu = sample_mx(params, 0.37, 9, mode=mode, n_samples=n_samples, seed=11)
-    plain = fiber_atoms_plain(params, 0.37, 9, mode, n_samples=n_samples, seed=11)
+    mu = sample_mx(params, 0.37, depth, mode=mode, n_samples=n_samples, seed=11)
+    plain = fiber_atoms_plain(params, 0.37, depth, mode, n_samples=n_samples, seed=11)
     assert mu.locs.tobytes() == plain.tobytes()
 
 
@@ -310,7 +331,28 @@ def test_srb_slice_matches_fiber_measure(p27):
     assert tv < 0.2
 
 
-@pytest.mark.parametrize("bins", [(64, 64), (32, 48)])
+Y_MAX_27 = SystemParams.classical(2, 0.7).psi_sup / (1.0 - 0.7)
+
+
+@pytest.mark.parametrize("bins", [64, 48, 7, 1])
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-Y_MAX_27, Y_MAX_27), (-1e-9, 1e-9)])
+def test_bin_index_matches_searchsorted(bins, lo, hi):
+    # SRB's x range and y ranges (+-y_max at b = 2, gamma = 0.7, and the
+    # zero-psi floor): every edge, one ulp either side of it, both ends and
+    # a uniform spread
+    edges = np.linspace(lo, hi, bins + 1)
+    v = np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [lo, hi],
+        np.random.default_rng(bins).uniform(lo, hi, 5000),
+    ])
+    want = np.minimum(np.searchsorted(edges, v, side="right") - 1, bins - 1)
+    assert _bin_index(edges, v).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bins", [(64, 64), (32, 48), (7, 3), (1, 1)])
 def test_srb_counts_match_histogram2d(p27, bins):
     h = srb_sample(p27, 700, 260, 60, seed=17, bins=bins)
     assert h.counts.tobytes() == srb_counts_plain(p27, 700, 260, 60, 17, bins).tobytes()

@@ -18,8 +18,10 @@ W(0.7, 2) and W(0.5, 3) with their local dimension, and the selftest
 battery.  A last run prints
 sha256 digests of the chain bits of random walks (b = 2, 3, 6, 12; the
 classical psi and a four-harmonic one) and of the numpy lanes' arrays:
-graph values, graph local-dimension log means, fiber atoms and SRB
-counts.  Every artifact is compared byte for byte,
+graph values and graph local-dimension log means at b = 2, 3, 4, 5 and 6
+(the even b reach the constant tail), exact and Monte-Carlo fiber atoms
+(the latter past the psi table's last step), and SRB counts at bins
+(64, 64), (32, 48) and (7, 3).  Every artifact is compared byte for byte,
 `manifest.json` apart from its `timing_s`, and so are stdout, stderr and
 the exit code.  Prints one line per system and exits 1 on any difference.
 Below a system, each `.json` artifact that differs gets one more line:
@@ -101,7 +103,8 @@ from skewcert.measures import sample_mx, srb_sample
 
 lanes = {"graph values": [], "graph log means": [], "fiber atoms": [], "srb counts": []}
 radii = [2.0 ** -k for k in range(3, 10)]
-for lam, b, phi in ((0.7, 2, None), (0.5, 3, None), (0.45, 5, None), (0.6, 2, four)):
+for lam, b, phi in ((0.7, 2, None), (0.5, 3, None), (0.45, 5, None), (0.6, 2, four),
+                    (0.45, 4, None), (0.4, 6, None)):
     g = sample_graph(lam, b, 14, phi=phi)
     lanes["graph values"].append(g.values)
     lanes["graph log means"].append(graph_mu_local_dim(g, radii, 50, seed=b).log_means)
@@ -112,7 +115,7 @@ for b in (2, 3):
         lanes["fiber atoms"].append(
             sample_mx(params, 0.3, 40, mode="mc", n_samples=5000, seed=b).locs
         )
-        for bins in ((64, 64), (32, 48)):
+        for bins in ((64, 64), (32, 48), (7, 3)):
             lanes["srb counts"].append(srb_sample(params, 500, 300, 100, seed=b, bins=bins).counts)
 for name, arrays in lanes.items():
     print(name, hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
