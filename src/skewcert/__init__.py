@@ -13,7 +13,6 @@ from .series import (
     eval_S,
 )
 from .certifier import (
-    Budget,
     CertTask,
     Certificate,
     PairGraph,

@@ -58,9 +58,6 @@ class GraphSample:
     def n(self) -> int:
         return int(self.values.size)
 
-    def xs(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
 
 def sample_graph(
     lam: float,

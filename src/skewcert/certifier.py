@@ -31,11 +31,9 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Budget:
-    d_max: int = 14          # digit-extension depth beyond q
-    x_depth_max: int = 20    # cell bisections
-    max_nodes: int = 6000    # nodes per (cell, pair) task
+D_MAX = 14  # digit-extension depth beyond q
+X_DEPTH_MAX = 20  # cell bisections
+MAX_NODES = 6000  # default nodes per (cell, pair) task
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class CertTask:
     pair: tuple[Word, Word]
     eps: float
     delta: float
-    budget: Budget = Budget()
+    max_nodes: int = MAX_NODES
 
     def __post_init__(self):
         k, l = self.pair
@@ -128,18 +126,18 @@ def _second_deriv_pair_bound(params: SystemParams) -> float:
 
 
 def _pair_bounds(
-    params: SystemParams, q: int, d_max: int
+    params: SystemParams, q: int
 ) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """Pair tail radii 2 tail_value(n) and 2 tail_deriv(n), n = q..q+d_max,
+    """Pair tail radii 2 tail_value(n) and 2 tail_deriv(n), n = q..q+D_MAX,
     and `_second_deriv_pair_bound` (memoized on params: it is frozen)."""
     memo = getattr(params, "_pair_bounds", None)
     if memo is None:
         memo = {}
         object.__setattr__(params, "_pair_bounds", memo)
-    bounds = memo.get((q, d_max))
+    bounds = memo.get(q)
     if bounds is None:
-        ns = range(q, q + d_max + 1)
-        bounds = memo[(q, d_max)] = (
+        ns = range(q, q + D_MAX + 1)
+        bounds = memo[q] = (
             tuple(2.0 * tail_value(params.psi_sup, params.gamma_iv, n) for n in ns),
             tuple(2.0 * tail_deriv(params, n) for n in ns),
             _second_deriv_pair_bound(params),
@@ -166,8 +164,8 @@ def certify_pair(task: CertTask) -> Certificate:
     if k == l:
         return Certificate("unresolved", [], 0, task, reason="diagonal")
     b = params.b
-    budget = task.budget
-    tv2, td2, m2 = _pair_bounds(params, task.q, budget.d_max)
+    max_nodes = task.max_nodes
+    tv2, td2, m2 = _pair_bounds(params, task.q)
     eps = task.eps
     delta = task.delta
     roots: dict = {}
@@ -186,7 +184,7 @@ def certify_pair(task: CertTask) -> Certificate:
     while stack:
         cell, xdepth, d, ea, eb, parent = stack.pop()
         nodes += 1
-        if nodes > budget.max_nodes:
+        if nodes > max_nodes:
             return Certificate("unresolved", [], nodes, task, reason="node budget")
         xm = cell.mid()
         if parent is None:
@@ -228,10 +226,10 @@ def certify_pair(task: CertTask) -> Certificate:
         # branch: extend digits while the continuation tail dominates the
         # prefix width, else bisect the cell
         extend = tv2[d] > 0.5 * val_pre.width()
-        if extend and d >= budget.d_max:
+        if extend and d >= D_MAX:
             extend = False
-        if not extend and xdepth >= budget.x_depth_max:
-            if d < budget.d_max:
+        if not extend and xdepth >= X_DEPTH_MAX:
+            if d < D_MAX:
                 extend = True
             else:
                 return Certificate("unresolved", [], nodes, task, reason="depth budget")
@@ -389,10 +387,11 @@ def tangency_graph(
     p: int,
     eps: float,
     delta: float,
-    budget: Budget = Budget(),
+    max_nodes: int = MAX_NODES,
     prior: PairGraph | None = None,
 ) -> PairGraph:
-    """Certify every word pair over every base-b cell at resolution b^p.
+    """Certify every word pair over every base-b cell at resolution b^p,
+    each within `max_nodes` branch-and-bound nodes.
 
     When `prior` is a graph for the same (q, p) at equal or larger
     (eps, delta), pairs it already certified are inherited and only its
@@ -431,7 +430,7 @@ def tangency_graph(
                 if mirrored is not None:
                     cert = _mirror_certificate(mirrored, cell, (k, l), source, slopes, reflected)
             if cert is None:
-                cert = certify_pair(CertTask(params, q, cell, (k, l), eps, delta, budget))
+                cert = certify_pair(CertTask(params, q, cell, (k, l), eps, delta, max_nodes))
                 graph.nodes += cert.node_count
             graph.certificates[(j, k, l)] = cert
             if not cert.transversal:
@@ -443,14 +442,13 @@ def tangency_graph(
 # closed-form pruning quantities
 
 
-def delta_max(
-    b: int, gamma: float, tol: float = 1e-9, max_rounds: int = 200
-) -> Interval:
+def delta_max(b: int, gamma: float) -> Interval:
     """Rigorous enclosure of max_t (sin(b t) + gamma sin t) over one period.
 
     Branch and bound in turns s = t / (2 pi): a cell stays while its upper
     bound, the smaller of the natural extension and the mean-value form
     f(m) + f'(cell)(cell - m), exceeds the best value found at a midpoint.
+    It stops once the enclosure is 1e-9 wide, or after 200 rounds.
     """
     if not (isinstance(b, int) and b >= 1):
         raise ValueError("b must be a positive integer")
@@ -466,7 +464,7 @@ def delta_max(
     active = [Interval(0.0, 1.0)]
     best_lo = -math.inf
     upper = math.inf
-    for _ in range(max_rounds):
+    for _ in range(200):
         evals = []
         for cell in active:
             m = Interval.point(cell.mid())
@@ -475,7 +473,7 @@ def delta_max(
             mean_value = fm + df(cell) * (cell - m)
             evals.append((cell, min(f(cell).hi, mean_value.hi)))
         upper = max((hi for _, hi in evals), default=best_lo)
-        if upper - best_lo <= tol:
+        if upper - best_lo <= 1e-9:
             break
         nxt = []
         for cell, hi in evals:

@@ -16,17 +16,16 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .boxdim import box_count_dim, graph_mu_local_dim, sample_graph, theoretical_D
-from .certifier import Budget
+from .certifier import MAX_NODES
 from .measures import i_r_table, local_dim_regress, sample_mx, srb_sample
 from .series import SystemParams, TrigPoly, classical_psi
-from .sigma import DEFAULT_LADDER, Verdict, certify_main
+from .sigma import Verdict, certify_main
 
 SCHEMA_VERSION = "2"
 THREADS_ENV = "SKEWCERT_THREADS"
@@ -82,6 +81,14 @@ def _count(key: str, v, least: int) -> int:
     return v
 
 
+def _flag(cfg: dict, key: str) -> bool:
+    """cfg[key], or False when it is absent, if it is true or false."""
+    v = cfg.get(key, False)
+    if not isinstance(v, bool):
+        raise ValueError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
 def _exponents(cfg: dict, key: str, default: list[int]) -> list[int]:
     """cfg[key], or `default` when it is absent, if it is a list of integers."""
     v = cfg.get(key, default)
@@ -112,31 +119,25 @@ def _make_params(cfg: dict) -> SystemParams:
 
 
 def _certify_options(cfg: dict) -> dict:
-    """`certify_main`'s q cap, grid, ladder and budget from a certify or sweep
+    """`certify_main`'s q cap, grid and node budget from a certify or sweep
     config, checked."""
+    # the ladder and depth limits are constants: a config naming one is refused,
+    # so that its echo in a report claims no setting the run did not use
+    for key in ("eps_ladder", "d_max", "x_depth_max"):
+        if key in cfg:
+            raise ValueError(f"{key} is not a setting")
     grid_p = cfg.get("grid_p")
-    ladder = cfg.get("eps_ladder", DEFAULT_LADDER)
-    if not (isinstance(ladder, (list, tuple)) and all(_is_number(e) and e > 0 for e in ladder)):
-        raise ValueError(f"eps_ladder must be a list of positive numbers, got {ladder!r}")
     return {
         "q_max": _count("qmax", cfg.get("qmax", 3), 1),
         "grid_p": None if grid_p is None else _count("grid_p", grid_p, 0),
-        "ladder": tuple(ladder),
-        "budget": _budget_from(cfg),
+        "max_nodes": _count("max_nodes", cfg.get("max_nodes", MAX_NODES), 0),
     }
 
 
 def _certify(cfg: dict, keep_graphs: bool = False) -> Verdict:
-    """`certify_main` on the system, ladder and budget of a certify or sweep config."""
+    """`certify_main` on the system, grid and node budget of a certify or sweep config."""
     options = _certify_options(cfg)
     return certify_main(_make_params(cfg), keep_graphs=keep_graphs, **options)
-
-
-def _budget_from(cfg: dict) -> Budget:
-    return replace(
-        Budget(),
-        **{f.name: _count(f.name, cfg[f.name], 0) for f in fields(Budget) if f.name in cfg},
-    )
 
 
 def _verdict_payload(v: Verdict) -> dict:
@@ -303,22 +304,24 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     centers = _count("centers", cfg.get("centers", 100), 1)
     r_exps = _exponents(cfg, "r_exponents", list(range(4, 11)))
     ld_exps = _exponents(cfg, "local_dim_exponents", list(range(4, 12)))
-    artifacts = []
-    report = _report(cfg)
-
-    # sampled first, so that bad SRB settings fail before any artifact is written
-    hist = None
-    if cfg.get("srb", False):
-        hist = srb_sample(
-            params,
+    srb = None
+    if _flag(cfg, "srb"):
+        srb = (
             _count("srb_points", cfg.get("srb_points", 2000), 1),
             _count("srb_iters", cfg.get("srb_iters", 2000), 1),
             _count("srb_burn_in", cfg.get("srb_burn_in", 500), 0),
-            seed=seed,
-            bins=cfg.get("srb_bins", (64, 64)),
         )
+    artifacts = []
+    report = _report(cfg)
 
+    # both sampled before any artifact is written, so that a setting they
+    # refuse (the atom budget, the SRB bins) leaves no file; the fiber
+    # first, as it checks its atom budget before any work
     mu = sample_mx(params, x, depth, mode=mode, n_samples=n_samples, seed=seed)
+    hist = None
+    if srb is not None:
+        hist = srb_sample(params, *srb, seed=seed, bins=cfg.get("srb_bins", (64, 64)))
+
     report["atoms"] = {
         "n": mu.n_atoms,
         "depth": mu.depth,
@@ -396,6 +399,7 @@ def cmd_boxdim(cfg: dict, out: Path) -> int:
     drop_edges = _count("drop_edges", cfg.get("drop_edges", 2), 0)
     centers = _count("centers", cfg.get("centers", 200), 1)
     seed = _count("seed", cfg.get("seed", 0), 0)
+    local_dim = _flag(cfg, "local_dim")
     sample = sample_graph(lam, b, m, depth=depth)
     res = box_count_dim(sample, exps, drop_edges=drop_edges)
     _write_csv(
@@ -414,7 +418,7 @@ def cmd_boxdim(cfg: dict, out: Path) -> int:
         sample={"m": m, "depth": sample.depth, "tail": sample.tail},
     )
     artifacts = ["counts.csv", "report.json"]
-    if cfg.get("local_dim", False):
+    if local_dim:
         reg = graph_mu_local_dim(
             sample,
             [2.0 ** (-k) for k in ld_exps],

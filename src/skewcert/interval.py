@@ -35,9 +35,7 @@ class Interval:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: float, hi: float | None = None):
-        if hi is None:
-            hi = lo
+    def __init__(self, lo: float, hi: float):
         if not lo <= hi:  # also rejects NaN endpoints
             raise ValueError(f"invalid interval endpoints [{lo}, {hi}]")
         self.lo = lo

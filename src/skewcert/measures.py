@@ -18,6 +18,10 @@ import numpy as np
 from .series import SystemParams, Word, check_word, tail_value
 
 
+# the most atoms exact mode enumerates
+ATOM_BUDGET = 4_000_000
+
+
 @dataclass
 class AtomicMeasure:
     """Sorted atom locations with masses summing to one, plus the depth-N
@@ -47,21 +51,21 @@ def sample_mx(
     mode: str = "exact",
     n_samples: int | None = None,
     seed: int | None = None,
-    atom_budget: int = 4_000_000,
 ) -> AtomicMeasure:
     """Atoms of the depth-N approximation of the fiber measure over x.
 
-    "exact" enumerates all b^N digit strings (mass b^-N each); "mc" draws
-    n_samples uniform strings with a seeded generator (mass 1/n each).
+    "exact" enumerates all b^N digit strings (mass b^-N each), at most
+    ATOM_BUDGET of them; "mc" draws n_samples uniform strings with a
+    seeded generator (mass 1/n each).
     """
     b = params.b
     gamma = params.gamma
     digits = np.arange(b, dtype=float)
     if mode == "exact":
         n_atoms = b**depth
-        if n_atoms > atom_budget:
+        if n_atoms > ATOM_BUDGET:
             raise ValueError(
-                f"b^depth = {n_atoms} atoms exceeds the budget {atom_budget}"
+                f"b^depth = {n_atoms} atoms exceeds the budget {ATOM_BUDGET}"
             )
         z = np.array([float(x)])
         acc = np.zeros(1)
@@ -179,8 +183,6 @@ def vertical_scaling_check(
 class IrEstimate:
     value: float
     r: float
-    depth: int
-    grid: int
     truncation_warning: bool
 
 
@@ -206,7 +208,7 @@ def i_r_table(
         for i, r in enumerate(radii):
             acc[i] += corr_sq_norm(mu, r)
     return [
-        IrEstimate(acc[i] / (grid * r * r), r, depth, grid, r <= blur)
+        IrEstimate(acc[i] / (grid * r * r), r, r <= blur)
         for i, r in enumerate(radii)
     ]
 

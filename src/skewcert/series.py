@@ -49,26 +49,21 @@ class TrigPoly:
     ):
         self.cos_coeffs = tuple(cos_coeffs)
         self.sin_coeffs = tuple(sin_coeffs)
-        self._harmonics = tuple(sorted({k for k, _, _, _ in self._active()}))
-        self._terms = self._terms_on(self._harmonics)
-
-    def _active(self) -> list[tuple[float, bool, float, float]]:
-        """(k, is cosine, coefficient lo, hi) of each nonzero term: the
-        cosine terms, then the sine terms, each by ascending k."""
-        active = []
-        for is_cos, coeffs in ((True, self.cos_coeffs), (False, self.sin_coeffs)):
-            for k, c in enumerate(coeffs, start=1):
-                if c.mag() != 0.0:
-                    active.append((float(k), is_cos, c.lo, c.hi))
-        return active
-
-    def _terms_on(self, harmonics: Sequence[float]) -> tuple[tuple[int, float, float], ...]:
-        """The nonzero terms as (j, coefficient lo, hi), in `_active` order,
-        where j indexes the enclosure endpoints of the term's sin or cos in
-        `_trig_table(harmonics, ...)`; `harmonics` holds every k of psi."""
-        return tuple(
-            (4 * harmonics.index(k) + (2 if is_cos else 0), clo, chi)
-            for k, is_cos, clo, chi in self._active()
+        # (k, is cosine, coefficient lo, hi) of each nonzero term: the
+        # cosine terms, then the sine terms, each by ascending k
+        active = [
+            (float(k), is_cos, c.lo, c.hi)
+            for is_cos, coeffs in ((True, self.cos_coeffs), (False, self.sin_coeffs))
+            for k, c in enumerate(coeffs, start=1)
+            if c.mag() != 0.0
+        ]
+        self._harmonics = tuple(sorted({k for k, _, _, _ in active}))
+        # the nonzero terms as (j, coefficient lo, hi), in that order, where j
+        # indexes the enclosure endpoints of the term's sin or cos in
+        # `_trig_table(self._harmonics, ...)`
+        self._terms = tuple(
+            (4 * self._harmonics.index(k) + (2 if is_cos else 0), clo, chi)
+            for k, is_cos, clo, chi in active
         )
 
     @staticmethod
@@ -207,11 +202,12 @@ class SystemParams:
                 f"gamma must be a number in (1/b, 1) = ({1.0 / self.b}, 1), got {self.gamma!r}"
             )
         object.__setattr__(self, "dpsi", self.psi.derivative())
-        # one trig table over the harmonics of psi and psi' serves both
-        harmonics = tuple(sorted({*self.psi._harmonics, *self.dpsi._harmonics}))
-        object.__setattr__(self, "_harmonics", harmonics)
-        object.__setattr__(self, "_psi_terms", self.psi._terms_on(harmonics))
-        object.__setattr__(self, "_dpsi_terms", self.dpsi._terms_on(harmonics))
+        # psi' has exactly the harmonics of psi, as outward rounding never
+        # turns a nonzero coefficient into zero, so one trig table over
+        # psi's harmonics serves the terms of both
+        object.__setattr__(self, "_harmonics", self.psi._harmonics)
+        object.__setattr__(self, "_psi_terms", self.psi._terms)
+        object.__setattr__(self, "_dpsi_terms", self.dpsi._terms)
         object.__setattr__(self, "psi_sup", self.psi.sup_bound())
         object.__setattr__(self, "dpsi_sup", self.dpsi.sup_bound())
         object.__setattr__(self, "gamma_iv", Interval.point(self.gamma))

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .certifier import Budget, PairGraph, tangency_graph
+from .certifier import MAX_NODES, PairGraph, tangency_graph
 from .series import SystemParams, Word
 
 SQRT2 = math.sqrt(2.0)
@@ -37,8 +37,9 @@ def solve_alpha(b: int, q: int) -> tuple[float, float]:
     return alpha, big + 2.0 / alpha
 
 
-def solve_t(tol: float = 1e-14) -> float:
-    """Unique root with t^3 > 2 of 1/(t^2-1) + 2/(t^3-2) + 1 = t^2."""
+def solve_t() -> float:
+    """Unique root with t^3 > 2 of 1/(t^2-1) + 2/(t^3-2) + 1 = t^2, by
+    bisection to a bracket 1e-14 wide."""
 
     def f(t: float) -> float:
         return 1.0 / (t * t - 1.0) + 2.0 / (t**3 - 2.0) + 1.0 - t * t
@@ -49,7 +50,7 @@ def solve_t(tol: float = 1e-14) -> float:
     fhi = f(hi)
     if not (flo > 0.0 > fhi):
         raise RuntimeError("root bracket failed")
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
@@ -181,28 +182,27 @@ def check_three_tier(graph: PairGraph) -> SigmaScheme | None:
     )
 
 
-def check_one_miss(graph: PairGraph, params: SystemParams) -> SigmaScheme | None:
+def check_one_miss(graph: PairGraph) -> SigmaScheme | None:
     """Every cell must miss at least one off-diagonal pair."""
-    n_words = params.b**graph.q
+    n_words = graph.b**graph.q
     if any(len(pairs) >= math.comb(n_words, 2) for pairs in graph.unresolved):
         return None
-    alpha, bound = solve_alpha(params.b, graph.q)
+    alpha, bound = solve_alpha(graph.b, graph.q)
     return SigmaScheme("one_miss", bound, {}, {"alpha": alpha})
 
 
-def sigma_upper(graph: PairGraph, params: SystemParams, q: int) -> SigmaScheme:
-    """The scheme of the best sigma(q) bound among those that verify on the graph.
+def sigma_upper(graph: PairGraph) -> SigmaScheme:
+    """The scheme of the best sigma(graph.q) bound among those that verify
+    on the graph.
 
     The trivial e(q)-bound always applies, so a result is guaranteed.
     """
-    if q != graph.q:
-        raise ValueError("graph was built for a different q")
     schemes: list[SigmaScheme] = [SigmaScheme("trivial", float(max(graph.e_by_cell())))]
     for checker in (check_sqrt2, check_three_tier, check_golden):
         s = checker(graph)
         if s is not None:
             schemes.append(s)
-    s = check_one_miss(graph, params)
+    s = check_one_miss(graph)
     if s is not None:
         schemes.append(s)
     return min(schemes, key=lambda s: (s.bound, _SCHEME_ORDER[s.kind]))
@@ -286,7 +286,8 @@ class Verdict:
         }
 
 
-DEFAULT_LADDER = (1e-2, 1e-3, 1e-4)
+# the (eps, delta) = (eps, eps) rungs of each q, descending
+LADDER = (1e-2, 1e-3, 1e-4)
 
 # node budget of each rung's probe pass.  Most transversal certificates take
 # one node, while a pair that stays unresolved spends the whole budget, and
@@ -309,37 +310,36 @@ def certify_main(
     params: SystemParams,
     q_max: int,
     grid_p: int | None = None,
-    ladder: tuple[float, ...] = DEFAULT_LADDER,
-    budget: Budget = Budget(),
+    max_nodes: int = MAX_NODES,
     keep_graphs: bool = False,
 ) -> Verdict:
-    """Search q = 1..q_max and the (eps, delta) ladder for sigma(q) < (gamma b)^q.
+    """Search q = 1..q_max and the (eps, delta) LADDER for sigma(q) < (gamma b)^q.
 
     The first success wins.  Within one q the ladder descends, reusing each
     rung's certified pairs for the next (transversality is monotone in the
     margins).  Each rung first certifies at a node budget of at most
     PROBE_NODES; only when that graph's bound misses the target are its
-    unresolved pairs certified again at the full budget, whatever their
-    probe certificate stopped on.  Certification of one pair is
-    deterministic, so a missed rung ends with the graph a single
+    unresolved pairs certified again at the full budget `max_nodes`,
+    whatever their probe certificate stopped on.  Certification of one
+    pair is deterministic, so a missed rung ends with the graph a single
     full-budget pass would give.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     p = default_grid_p(params.b) if grid_p is None else grid_p
-    probe = replace(budget, max_nodes=min(budget.max_nodes, PROBE_NODES))
+    probe = min(max_nodes, PROBE_NODES)
     verdict = Verdict(params.b, params.gamma, p)
     for q in range(1, q_max + 1):
         target = (params.gamma * params.b) ** q
         prior = None
-        for eps in ladder:
+        for eps in LADDER:
             graph = tangency_graph(params, q, p, eps, eps, probe, prior=prior)
             nodes = graph.nodes
-            scheme = sigma_upper(graph, params, q)
-            if scheme.bound >= target and probe != budget:
-                graph = tangency_graph(params, q, p, eps, eps, budget, prior=graph)
+            scheme = sigma_upper(graph)
+            if scheme.bound >= target and probe < max_nodes:
+                graph = tangency_graph(params, q, p, eps, eps, max_nodes, prior=graph)
                 nodes += graph.nodes
-                scheme = sigma_upper(graph, params, q)
+                scheme = sigma_upper(graph)
             prior = graph
             e_glob = max(graph.e_by_cell())
             rung = RungReport(

@@ -14,7 +14,6 @@ import pytest
 
 from skewcert.boxdim import box_count_dim, sample_graph, theoretical_D
 from skewcert.certifier import (
-    Budget,
     CertTask,
     certify_pair,
     delta_max,
@@ -205,7 +204,7 @@ def _random_transversal_certs(n: int):
 
         task = CertTask(
             params, q, Interval(cell_lo, cell_hi), (words[0], words[1]), eps, eps,
-            Budget(max_nodes=3000),
+            3000,
         )
         cert = certify_pair(task)
         if cert.transversal:

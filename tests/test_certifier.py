@@ -10,7 +10,6 @@ from skewcert import certifier
 from skewcert.interval import Interval
 from skewcert.series import Chain, SystemParams, TrigPoly, reflect_word, tail_value, tail_deriv
 from skewcert.certifier import (
-    Budget,
     CertTask,
     all_words,
     certify_pair,
@@ -33,11 +32,11 @@ def p27():
 def test_pair_diff_tails_shrink(p27):
     # certify_pair extends digits while the pair tail radii dominate: they
     # shrink with every digit
-    tv2, td2, _ = certifier._pair_bounds(p27, 1, 7)
+    tv2, td2, _ = certifier._pair_bounds(p27, 1)
     assert all(a > b for a, b in zip(tv2, tv2[1:]))
     assert all(a > b for a, b in zip(td2, td2[1:]))
     assert tv2[0] == 2 * tail_value(p27.psi_sup, p27.gamma_iv, 1)
-    assert td2[-1] == 2 * tail_deriv(p27, 8)
+    assert td2[-1] == 2 * tail_deriv(p27, 1 + certifier.D_MAX)
 
 
 def test_pair_diff_contains_all_samples():
@@ -119,7 +118,7 @@ def test_certify_budget_monotonicity(p27):
     # a budget too small to finish reports unresolved; more budget fixes it
     cell = Interval(0.0, 1 / 3)
     tiny = certify_pair(
-        CertTask(p27, 1, cell, ((0,), (1,)), 1e-3, 1e-3, Budget(max_nodes=2))
+        CertTask(p27, 1, cell, ((0,), (1,)), 1e-3, 1e-3, 2)
     )
     assert not tiny.transversal and tiny.reason == "node budget"
     # the search found a leaf before it stopped; an unresolved certificate
@@ -202,9 +201,9 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
     # for odd psi only the cells j <= (n-1)/2 are certified; every derived
     # cell's certificate status must equal that of direct certification
     params = SystemParams.classical(b, gamma)
-    budget = Budget(max_nodes=1024)
+    max_nodes = 1024
     calls = _record_certify_calls(monkeypatch)
-    g = tangency_graph(params, 1, p, 1e-2, 1e-2, budget)
+    g = tangency_graph(params, 1, p, 1e-2, 1e-2, max_nodes)
     monkeypatch.undo()
     n = g.n_cells
     derived = derived_unresolved = 0
@@ -223,7 +222,7 @@ def test_mirror_cells_match_direct_certification(b, gamma, p, monkeypatch):
                 assert (cert.reason, cert.node_count) == (source.reason, source.node_count)
         cell = g.cell_interval(j)
         assert (cert.task.cell.lo, cert.task.cell.hi) == (cell.lo, cell.hi)
-        direct = certify_pair(CertTask(params, 1, cell, (k, l), 1e-2, 1e-2, budget))
+        direct = certify_pair(CertTask(params, 1, cell, (k, l), 1e-2, 1e-2, max_nodes))
         assert cert.status == direct.status, (j, k, l)
         if cert.transversal:
             assert min(f.cell_lo for f in cert.leaves) <= cell.lo
@@ -246,7 +245,7 @@ def test_full_pass_certifies_again_the_probe_non_transversal_pairs(monkeypatch):
     params = SystemParams.classical(2, 0.98)
     eps = 1e-2
     direct = tangency_graph(params, 1, 4, eps, eps)
-    probe = tangency_graph(params, 1, 4, eps, eps, Budget(max_nodes=1024))
+    probe = tangency_graph(params, 1, 4, eps, eps, 1024)
     missed = {
         key: c.reason
         for key, c in probe.certificates.items()
@@ -254,7 +253,7 @@ def test_full_pass_certifies_again_the_probe_non_transversal_pairs(monkeypatch):
     }
     assert set(missed.values()) == {"node budget", "depth budget"}
     calls = _record_certify_calls(monkeypatch)
-    full = tangency_graph(params, 1, 4, eps, eps, Budget(), prior=probe)
+    full = tangency_graph(params, 1, 4, eps, eps, prior=probe)
     cells = {(probe.cell_interval(j).lo, probe.cell_interval(j).hi): j for j in range(16)}
     called = [(cells[(t.cell.lo, t.cell.hi)], *t.pair) for t in calls]
     assert sorted(called) == sorted(missed)
@@ -298,7 +297,7 @@ def _random_derived_transversal_certs(n: int):
         q = int(rng.choice([1, 2])) if b == 2 else 1
         p = {2: 3, 3: 2, 6: 1}[b]
         eps = float(rng.choice([1e-2, 1e-3]))
-        g = tangency_graph(params, q, p, eps, eps, Budget(max_nodes=500))
+        g = tangency_graph(params, q, p, eps, eps, 500)
         derived = [
             c for c in g.certificates.values() if c.derived_from is not None and c.transversal
         ]
@@ -450,7 +449,7 @@ def test_chain_cache_matches_fresh_builds(b, gamma, j, p, pairs, monkeypatch):
     calls = _record_trie(monkeypatch)
     for pair in pairs:
         calls.clear()
-        task = CertTask(params, q, cell, pair, 1e-3, 1e-3, Budget(max_nodes=1000))
+        task = CertTask(params, q, cell, pair, 1e-3, 1e-3, 1000)
         assert not certify_pair(task).transversal
         roots = {id(start): start for start, *_ in calls if start.n == 0}
         assert len(roots) > 2  # the task cell's two roots and a half-cell's
@@ -479,7 +478,7 @@ def test_certify_pair_builds_chains_when_popped(monkeypatch):
     params = SystemParams.classical(6, 0.6)
     cell = Interval(0.0, 1 / 36)
     calls = _record_trie(monkeypatch)
-    task = CertTask(params, 1, cell, ((1,), (5,)), 1e-3, 1e-3, Budget(max_nodes=1))
+    task = CertTask(params, 1, cell, ((1,), (5,)), 1e-3, 1e-3, 1)
     cert = certify_pair(task)
     assert cert.reason == "node budget" and cert.node_count == 2
     xm = cell.mid()
@@ -501,7 +500,7 @@ def test_sibling_bisections_share_their_parent_word(monkeypatch):
     params = SystemParams.classical(6, 0.6)
     cell = Interval(0.0, 1 / 36)
     calls = _record_trie(monkeypatch)
-    task = CertTask(params, 1, cell, ((1,), (5,)), 1e-3, 1e-3, Budget(max_nodes=1000))
+    task = CertTask(params, 1, cell, ((1,), (5,)), 1e-3, 1e-3, 1000)
     assert certify_pair(task).reason == "depth budget"
     walked: dict = {}
     shared = 0

@@ -481,6 +481,9 @@ def test_malformed_psi_or_gamma_is_invalid_config(tmp_path, capsys, bad):
         {"max_nodes": "10"},
         {"eps_ladder": 0.01},
         {"grid_p": "3"},
+        {"eps_ladder": [0.01]},
+        {"d_max": 14},
+        {"x_depth_max": 20},
     ],
 )
 def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, bad):
@@ -504,6 +507,9 @@ def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, bad):
         {"gamma_start": "0.3"},
         {"gamma_step": "0.1"},
         {"b": "6"},
+        {"eps_ladder": [0.01]},
+        {"d_max": 14},
+        {"x_depth_max": 20},
     ],
 )
 def test_sweep_checks_settings_before_any_job(tmp_path, capsys, monkeypatch, bad):
@@ -546,6 +552,8 @@ BOXDIM_CFG = {"lam": 0.7, "b": 2, "m": 12, "local_dim": True}
         ("boxdim", {"lam": "0.7"}),
         ("measure", {"srb": True, "mode": "foo"}),
         ("measure", {"srb": True, "mode": "mc"}),
+        ("measure", {"srb": "false"}),
+        ("boxdim", {"local_dim": 1}),
     ],
 )
 def test_malformed_measure_or_boxdim_count_is_invalid_config(
@@ -558,6 +566,18 @@ def test_malformed_measure_or_boxdim_count_is_invalid_config(
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**base, **bad}))
     rc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_measure_checks_the_atom_budget_before_srb_orbits(tmp_path, capsys, monkeypatch):
+    # 2^23 exact atoms exceed the budget: refused before any SRB orbit runs
+    monkeypatch.setattr(cli, "srb_sample", lambda *a, **k: pytest.fail("SRB orbits ran"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MEASURE_CFG, "depth": 23, "srb": True}))
+    rc = run_cli(["measure", "--config", str(path), "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1

@@ -53,7 +53,7 @@ def test_sample_mx_depth2_enumeration(p27):
 
 def test_sample_mx_atom_budget(p27):
     with pytest.raises(ValueError):
-        sample_mx(p27, 0.0, 30, atom_budget=1000)
+        sample_mx(p27, 0.0, 30)
 
 
 def test_sample_mx_adding_machine_invariance(p27):

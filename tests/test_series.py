@@ -396,6 +396,18 @@ def test_trigpoly_eval_iv_contains_several_harmonics():
             assert got.lo <= exact <= got.hi, (x, t)
 
 
+def test_derivative_keeps_the_harmonics():
+    # SystemParams evaluates psi' on the trig table of psi's harmonics: the
+    # derivative must keep every nonzero one, however small or large
+    for poly in (
+        TrigPoly.from_floats(cos=[0.3, 0.0, -1.2, 0.05], sin=[0.7, 0.25, 0.0, 0.1]),
+        TrigPoly.from_floats(cos=[0.0, 5e-324], sin=[0.0, 0.0, 1e300]),
+        TrigPoly.from_floats(sin=[0.0, 1.5]),
+        TrigPoly.zero(),
+    ):
+        assert poly.derivative()._harmonics == poly._harmonics
+
+
 def test_classical_psi_is_phi_derivative():
     psi = classical_psi()
     xs = np.linspace(0, 1, 101)

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from skewcert.certifier import PairGraph, all_words, tangency_graph, Budget
+from skewcert.certifier import PairGraph, all_words, tangency_graph
 from skewcert import certifier, sigma
 from skewcert.series import SystemParams
 from skewcert.sigma import (
-    DEFAULT_LADDER,
     GOLDEN,
+    LADDER,
     SQRT2,
     certify_main,
     check_golden,
@@ -76,7 +76,7 @@ def test_check_sqrt2_fires_with_clean_images():
     g = make_graph(2, 1, 3, {3: [((0,), (1,))], 4: [((0,), (1,))]})
     s = check_sqrt2(g)
     assert s is not None and s.bound == SQRT2
-    best = sigma_upper(g, SystemParams.classical(2, 0.75), 1)
+    best = sigma_upper(g)
     assert best.kind == "sqrt2" and best.bound == SQRT2
 
 
@@ -87,7 +87,7 @@ def test_check_golden_single_sided_images():
     assert check_three_tier(g) is None
     s = check_golden(g)
     assert s is not None and s.bound == GOLDEN
-    best = sigma_upper(g, SystemParams.classical(2, 0.9), 1)
+    best = sigma_upper(g)
     assert best.kind == "golden" and best.bound == GOLDEN
 
 
@@ -108,7 +108,7 @@ def test_check_three_tier_star():
     s = check_three_tier(g)
     assert s is not None
     assert s.regions["K1"] == [0] and s.regions["K2"] == [3]
-    best = sigma_upper(g, SystemParams.classical(2, 0.68), 2)
+    best = sigma_upper(g)
     assert best.kind == "three_tier"
     assert best.bound == solve_t()
 
@@ -118,9 +118,9 @@ def test_check_one_miss_wins_at_high_degree():
     g = make_graph(2, 2, 1, {0: pairs, 1: pairs})
     assert check_sqrt2(g) is None and check_golden(g) is None
     assert check_three_tier(g) is None
-    s = check_one_miss(g, SystemParams.classical(2, 0.9))
+    s = check_one_miss(g)
     assert s is not None
-    best = sigma_upper(g, SystemParams.classical(2, 0.9), 2)
+    best = sigma_upper(g)
     assert best.kind == "one_miss"
     assert best.bound == pytest.approx(2 + 2 / ((1 + math.sqrt(17)) / 4), rel=1e-12)
     e = max(g.e_by_cell())
@@ -131,12 +131,12 @@ def test_one_miss_rejects_full_cell():
     words = all_words(2, 1)
     full = [(k, l) for k in words for l in words if k != l]
     g = make_graph(2, 1, 1, {0: full, 1: []})
-    assert check_one_miss(g, SystemParams.classical(2, 0.9)) is None
+    assert check_one_miss(g) is None
 
 
 def test_trivial_fallback_diagonal_only():
     g = make_graph(2, 2, 2, {})
-    best = sigma_upper(g, SystemParams.classical(2, 0.7), 2)
+    best = sigma_upper(g)
     assert best.bound == 1.0 and best.kind == "trivial"
 
 
@@ -144,7 +144,7 @@ def test_sigma_never_exceeds_e():
     params = SystemParams.classical(2, 0.75)
     g = tangency_graph(params, 1, 4, 1e-2, 1e-2)
     e = max(g.e_by_cell())
-    assert sigma_upper(g, params, 1).bound <= e + 1e-12
+    assert sigma_upper(g).bound <= e + 1e-12
 
 
 # -- scheme re-validation (the hypotheses, re-checked independently) --------
@@ -194,7 +194,7 @@ def test_reported_schemes_revalidate_on_real_graphs():
     for gamma, q in ((0.75, 1), (0.98, 1)):
         params = SystemParams.classical(2, gamma)
         g = tangency_graph(params, q, 5, 1e-2, 1e-2)
-        best = sigma_upper(g, params, q)
+        best = sigma_upper(g)
         if best.kind in ("sqrt2", "golden", "three_tier"):
             _revalidate(g, best)
 
@@ -221,7 +221,7 @@ def test_certify_main_b2_gamma06():
 
 def test_certify_main_budget_monotonicity():
     params = SystemParams.classical(2, 0.6)
-    tiny = certify_main(params, 1, budget=Budget(max_nodes=3))
+    tiny = certify_main(params, 1, max_nodes=3)
     full = certify_main(params, 1)
     if tiny.success:
         assert full.success
@@ -304,9 +304,9 @@ def _single_pass_ladder(params, q_max, p):
     out = []
     for q in range(1, q_max + 1):
         prior = None
-        for eps in DEFAULT_LADDER:
-            prior = tangency_graph(params, q, p, eps, eps, Budget(), prior=prior)
-            scheme = sigma_upper(prior, params, q)
+        for eps in LADDER:
+            prior = tangency_graph(params, q, p, eps, eps, prior=prior)
+            scheme = sigma_upper(prior)
             out.append((q, eps, prior, scheme))
             if scheme.bound < (params.gamma * params.b) ** q:
                 return out

@@ -12,7 +12,10 @@ with q <= 1), one inconclusive certify (b = 2, gamma = 0.68, q <= 1:
 three missed rungs, so `certificates.json` comes from the last rung
 tried), one zero-psi certify (b = 2, gamma = 0.7, q <= 1, read from a
 `--config` file that the run writes into its directory: every pair stops
-on a tangency witness at its first node), the b = 6 sweep, two fiber
+on a tangency witness at its first node), two certify runs with
+`--max-nodes` (b = 6, gamma = 0.5 at 10 nodes, where the probe equals the
+budget and no rung runs a full pass; b = 2, gamma = 0.68 at 500 nodes,
+whose missed rungs run full passes and exit 2), the b = 6 sweep, two fiber
 measures (exact; Monte Carlo with the SRB histogram), the box counts of
 W(0.7, 2) and W(0.5, 3) with their local dimension, and the selftest
 battery.  A last run prints
@@ -54,7 +57,11 @@ SYSTEMS = (
        for b in (6, 8, 12) for g in (0.2, 0.5, 0.9)]
     + [("certify b=2 gamma=0.68 q<=1 (inconclusive)",
         ["certify", "--b", "2", "--gamma", "0.68", "--qmax", "1"]),
-       ("certify b=2 gamma=0.7 q<=1 zero psi", ["certify"])]
+       ("certify b=2 gamma=0.7 q<=1 zero psi", ["certify"]),
+       ("certify b=6 gamma=0.5 q<=1 --max-nodes 10",
+        ["certify", "--b", "6", "--gamma", "0.5", "--qmax", "1", "--max-nodes", "10"]),
+       ("certify b=2 gamma=0.68 q<=1 --max-nodes 500",
+        ["certify", "--b", "2", "--gamma", "0.68", "--qmax", "1", "--max-nodes", "500"])]
     + [("sweep b=6 gamma=0.3..0.9",
         ["sweep", "--b", "6", "--gamma-start", "0.3", "--gamma-stop", "0.9",
          "--gamma-step", "0.3", "--qmax", "1", "--threads", "2"])]
