@@ -66,80 +66,6 @@ def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str],
     )
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _count(key: str, v, least: int) -> int:
-    """`v` if it is an integer (not a bool) of at least `least`."""
-    if not (_is_int(v) and v >= least):
-        raise ValueError(f"{key} must be an integer >= {least}, got {v!r}")
-    return v
-
-
-def _flag(cfg: dict, key: str) -> bool:
-    """cfg[key], or False when it is absent, if it is true or false."""
-    v = cfg.get(key, False)
-    if not isinstance(v, bool):
-        raise ValueError(f"{key} must be true or false, got {v!r}")
-    return v
-
-
-def _exponents(cfg: dict, key: str, default: list[int]) -> list[int]:
-    """cfg[key], or `default` when it is absent, if it is a list of integers."""
-    v = cfg.get(key, default)
-    if not (isinstance(v, list) and all(map(_is_int, v))):
-        raise ValueError(f"{key} must be a list of integers, got {v!r}")
-    return v
-
-
-def _make_psi(cfg: dict) -> TrigPoly:
-    psi_spec = cfg.get("psi", "classical")
-    if psi_spec == "classical":
-        return classical_psi()
-    if psi_spec == "zero":
-        return TrigPoly.zero()
-    if isinstance(psi_spec, dict):
-        coeffs = {key: psi_spec.get(key, ()) for key in ("cos", "sin")}
-        for key, c in coeffs.items():
-            if not (isinstance(c, (list, tuple)) and all(map(_is_number, c))):
-                raise ValueError(f"psi {key} must be a list of numbers, got {c!r}")
-        return TrigPoly.from_floats(**coeffs)
-    raise ValueError(
-        f"psi must be 'classical', 'zero' or an object of cos and sin lists, got {psi_spec!r}"
-    )
-
-
-def _make_params(cfg: dict) -> SystemParams:
-    return SystemParams(b=cfg["b"], gamma=cfg["gamma"], psi=_make_psi(cfg))
-
-
-def _certify_options(cfg: dict) -> dict:
-    """`certify_main`'s q cap, grid and node budget from a certify or sweep
-    config, checked."""
-    # the ladder and depth limits are constants: a config naming one is refused,
-    # so that its echo in a report claims no setting the run did not use
-    for key in ("eps_ladder", "d_max", "x_depth_max"):
-        if key in cfg:
-            raise ValueError(f"{key} is not a setting")
-    grid_p = cfg.get("grid_p")
-    return {
-        "q_max": _count("qmax", cfg.get("qmax", 3), 1),
-        "grid_p": None if grid_p is None else _count("grid_p", grid_p, 0),
-        "max_nodes": _count("max_nodes", cfg.get("max_nodes", MAX_NODES), 0),
-    }
-
-
-def _certify(cfg: dict, keep_graphs: bool = False) -> Verdict:
-    """`certify_main` on the system, grid and node budget of a certify or sweep config."""
-    options = _certify_options(cfg)
-    return certify_main(_make_params(cfg), keep_graphs=keep_graphs, **options)
-
-
 def _verdict_payload(v: Verdict) -> dict:
     d = v.to_dict()
     d["certificate_refs"] = ["certificates.json"]
@@ -186,12 +112,146 @@ def _certificates_payload(v: Verdict) -> list[dict]:
 
 
 # ---------------------------------------------------------------------
+# settings
+
+REQUIRED = object()
+MODES = ("exact", "mc")
+
+# The settings of each command, as key: (kind, default, flag).  A kind is an
+# integer n (an integer >= n), "number" (a finite one), "bool", "ints" (a list
+# of integers), "bins" (two integers >= 1), "mode" (one of MODES) or "psi"
+# ("classical", "zero" or an object of cos and sin lists of numbers).  A
+# default of None leaves the setting unset; a flag of None leaves the key to
+# the --config file.  A config key that its command does not list is refused,
+# so that a report's config echo claims no setting the run did not use.
+_CERTIFY = {
+    "b": (2, REQUIRED, "--b"),
+    "qmax": (1, 3, "--qmax"),
+    "grid_p": (0, None, "--grid-p"),
+    "max_nodes": (0, MAX_NODES, "--max-nodes"),
+    "psi": ("psi", "classical", None),
+}
+SETTINGS = {
+    "certify": {**_CERTIFY, "gamma": ("number", REQUIRED, "--gamma")},
+    "sweep": {
+        **_CERTIFY,
+        "gamma_start": ("number", REQUIRED, "--gamma-start"),
+        "gamma_stop": ("number", REQUIRED, "--gamma-stop"),
+        "gamma_step": ("number", 0.02, "--gamma-step"),
+    },
+    "measure": {
+        "b": (2, REQUIRED, "--b"),
+        "gamma": ("number", REQUIRED, "--gamma"),
+        "psi": ("psi", "classical", "--psi"),
+        "x": ("number", 0.3, "--x"),
+        "depth": (0, 14, "--depth"),
+        "mode": ("mode", "exact", "--mode"),
+        "samples": (1, None, "--samples"),
+        "grid": (1, 64, "--grid"),
+        "seed": (0, 0, "--seed"),
+        "srb": ("bool", False, "--srb"),
+        "r_exponents": ("ints", list(range(4, 11)), "--r-exponents"),
+        "local_dim_exponents": ("ints", list(range(4, 12)), "--local-dim-exponents"),
+        "centers": (1, 100, None),
+        "srb_points": (1, 2000, None),
+        "srb_iters": (1, 2000, None),
+        "srb_burn_in": (0, 500, None),
+        "srb_bins": ("bins", (64, 64), None),
+    },
+    "boxdim": {
+        "lam": ("number", REQUIRED, "--lam"),
+        "b": (2, REQUIRED, "--b"),
+        "m": (0, 20, "--m"),
+        "depth": (0, None, "--depth"),
+        "scale_exponents": ("ints", list(range(4, 15)), "--scales"),
+        "local_dim": ("bool", False, "--local-dim"),
+        "seed": (0, 0, "--seed"),
+        "local_dim_exponents": ("ints", list(range(4, 11)), None),
+        "drop_edges": (0, 2, None),
+        "centers": (1, 200, None),
+    },
+}
+
+
+def _is_number(v) -> bool:
+    """Whether `v` is a finite number that a float holds (not a bool)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _value(key: str, kind, v):
+    """`v` if it is a value of `kind` (see SETTINGS); a psi becomes its TrigPoly."""
+    if kind == "psi" and v in ("classical", "zero"):
+        return classical_psi() if v == "classical" else TrigPoly.zero()
+    if kind == "psi" and isinstance(v, dict):
+        coeffs = {k: v.get(k, ()) for k in ("cos", "sin")}
+        for k, c in coeffs.items():
+            if not (isinstance(c, (list, tuple)) and all(map(_is_number, c))):
+                raise ValueError(f"psi {k} must be a list of finite numbers, got {c!r}")
+        return TrigPoly.from_floats(**coeffs)
+    if isinstance(kind, int):
+        ok, rule = _is_int(v) and v >= kind, f"an integer >= {kind}"
+    elif kind == "number":
+        ok, rule = _is_number(v), "a finite number"
+    elif kind == "bool":
+        ok, rule = isinstance(v, bool), "true or false"
+    elif kind == "ints":
+        ok, rule = isinstance(v, list) and all(map(_is_int, v)), "a list of integers"
+    elif kind == "bins":
+        ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_int(k) and k >= 1 for k in v)
+        rule = "two integers >= 1"
+    elif kind == "mode":
+        ok, rule = v in MODES, '"exact" or "mc"'
+    else:
+        ok, rule = False, "'classical', 'zero' or an object of cos and sin lists"
+    if not ok:
+        raise ValueError(f"{key} must be {rule}, got {v!r}")
+    return v
+
+
+def _settings(command: str, cfg: dict) -> dict:
+    """Every setting of `command`, from `cfg` or its default, checked.
+
+    Raises KeyError on a missing required key and ValueError on a key the
+    command does not list or a value outside its kind, before any work.
+    """
+    rows = SETTINGS[command]
+    for key in cfg:
+        if key not in rows:
+            raise ValueError(f"{key} is not a setting")
+    s = {}
+    for key, (kind, default, _) in rows.items():
+        v = cfg.get(key, default)
+        if v is REQUIRED:
+            raise KeyError(key)
+        s[key] = None if v is None and default is None else _value(key, kind, v)
+    if command == "sweep" and not s["gamma_step"] > 0:
+        raise ValueError(f"gamma_step must be > 0, got {s['gamma_step']!r}")
+    if command == "measure":
+        if s["mode"] == "mc" and s["samples"] is None:
+            raise ValueError("mode \"mc\" needs samples")
+        if s["srb_iters"] <= s["srb_burn_in"]:
+            raise ValueError("srb_iters must exceed srb_burn_in")
+    return s
+
+
+def _certify(s: dict, keep_graphs: bool = False) -> Verdict:
+    """`certify_main` on the system, grid and node budget of certify settings."""
+    params = SystemParams(s["b"], s["gamma"], s["psi"])
+    budget = {"q_max": s["qmax"], "grid_p": s["grid_p"], "max_nodes": s["max_nodes"]}
+    return certify_main(params, keep_graphs=keep_graphs, **budget)
+
+
+# ---------------------------------------------------------------------
 # subcommands
 
 
-def cmd_certify(cfg: dict, out: Path) -> int:
+def cmd_certify(cfg: dict, s: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    v = _certify(cfg, keep_graphs=True)
+    v = _certify(s, keep_graphs=True)
     _dump_json(out / "verdict.json", _report(cfg, verdict=_verdict_payload(v)))
     # one line: json's C encoder writes it several times faster than indent=2
     certs = {"schema_version": SCHEMA_VERSION, "certificates": _certificates_payload(v)}
@@ -213,14 +273,13 @@ def _sweep_worker(job: tuple) -> dict:
     """One sweep row; a gamma whose certification raises gets an error row,
     read as a verdict with no rungs, so the other rows of the sweep are
     still written."""
-    cfg_json, gamma = job
-    cfg = dict(json.loads(cfg_json), gamma=gamma)
+    s, gamma = job
     error = None
     try:
-        v = _certify(cfg)
+        v = _certify(dict(s, gamma=gamma))
     except Exception as exc:
         traceback.print_exc()
-        v = Verdict(cfg["b"], gamma, None)
+        v = Verdict(s["b"], gamma, None)
         error = f"{type(exc).__name__}: {exc}"
     row = {
         "gamma": gamma,
@@ -235,29 +294,19 @@ def _sweep_worker(job: tuple) -> dict:
     return row if error is None else dict(row, error=error)
 
 
-def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
+def cmd_sweep(cfg: dict, s: dict, out: Path, threads: int) -> int:
     t0 = time.perf_counter()
-    # every gamma shares these settings: check them once, before any job starts
-    _make_psi(cfg)
-    _certify_options(cfg)
-    b = _count("b", cfg["b"], 2)
-    start = cfg["gamma_start"]
-    stop = cfg["gamma_stop"]
-    step = cfg.get("gamma_step", 0.02)
-    numbers = all(map(_is_number, (start, stop, step)))
-    if not (numbers and step > 0 and math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError("sweep needs finite gamma_start and gamma_stop and gamma_step > 0")
+    start, stop, step = s["gamma_start"], s["gamma_stop"], s["gamma_step"]
     gammas = []
     k = 0
     while True:
         g = round(start + k * step, 12)
         if g > stop + 1e-12:
             break
-        if 1.0 / b < g < 1.0:
+        if 1.0 / s["b"] < g < 1.0:
             gammas.append(g)
         k += 1
-    cfg_json = json.dumps(cfg, sort_keys=True)
-    jobs = [(cfg_json, g) for g in gammas]
+    jobs = [(s, g) for g in gammas]
     workers = min(threads, len(jobs), len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -284,43 +333,19 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     return 0 if n_ok == len(rows) else 2
 
 
-def cmd_measure(cfg: dict, out: Path) -> int:
+def cmd_measure(cfg: dict, s: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    params = _make_params(cfg)
-    x = cfg.get("x", 0.3)
-    if not _is_number(x):
-        raise ValueError(f"x must be a number, got {x!r}")
-    depth = _count("depth", cfg.get("depth", 14), 0)
-    mode = cfg.get("mode", "exact")
-    if mode not in ("exact", "mc"):
-        raise ValueError(f"mode must be \"exact\" or \"mc\", got {mode!r}")
-    n_samples = cfg.get("samples")
-    if n_samples is not None:
-        _count("samples", n_samples, 1)
-    elif mode == "mc":
-        raise ValueError("mode \"mc\" needs samples")
-    seed = _count("seed", cfg.get("seed", 0), 0)
-    grid = _count("grid", cfg.get("grid", 64), 1)
-    centers = _count("centers", cfg.get("centers", 100), 1)
-    r_exps = _exponents(cfg, "r_exponents", list(range(4, 11)))
-    ld_exps = _exponents(cfg, "local_dim_exponents", list(range(4, 12)))
-    srb = None
-    if _flag(cfg, "srb"):
-        srb = (
-            _count("srb_points", cfg.get("srb_points", 2000), 1),
-            _count("srb_iters", cfg.get("srb_iters", 2000), 1),
-            _count("srb_burn_in", cfg.get("srb_burn_in", 500), 0),
-        )
+    params = SystemParams(s["b"], s["gamma"], s["psi"])
+    depth, mode, n_samples, seed = s["depth"], s["mode"], s["samples"], s["seed"]
     artifacts = []
     report = _report(cfg)
 
-    # both sampled before any artifact is written, so that a setting they
-    # refuse (the atom budget, the SRB bins) leaves no file; the fiber
-    # first, as it checks its atom budget before any work
-    mu = sample_mx(params, x, depth, mode=mode, n_samples=n_samples, seed=seed)
-    hist = None
-    if srb is not None:
-        hist = srb_sample(params, *srb, seed=seed, bins=cfg.get("srb_bins", (64, 64)))
+    # both sampled before any artifact is written, so that an atom budget
+    # sample_mx refuses leaves no file; the fiber first, as it checks that
+    # budget before any work
+    mu = sample_mx(params, s["x"], depth, mode=mode, n_samples=n_samples, seed=seed)
+    srb = (s["srb_points"], s["srb_iters"], s["srb_burn_in"])
+    hist = srb_sample(params, *srb, seed=seed, bins=s["srb_bins"]) if s["srb"] else None
 
     report["atoms"] = {
         "n": mu.n_atoms,
@@ -329,9 +354,9 @@ def cmd_measure(cfg: dict, out: Path) -> int:
         "distinct": int(np.unique(mu.locs).size),
     }
 
-    radii = [2.0 ** (-k) for k in r_exps]
+    radii = [2.0 ** (-k) for k in s["r_exponents"]]
     # aggregate correlation statistic over the x-grid
-    ests = i_r_table(params, radii, grid, depth, mode=mode, n_samples=n_samples, seed=seed)
+    ests = i_r_table(params, radii, s["grid"], depth, mode=mode, n_samples=n_samples, seed=seed)
     ir_rows = [(e.r, e.value, e.truncation_warning) for e in ests]
     _write_csv(out / "i_r.csv", "r,I_r,truncation_warning", ((r, v, int(w)) for r, v, w in ir_rows))
     artifacts.append("i_r.csv")
@@ -347,9 +372,9 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     if degenerate:
         report["local_dim"] = {"error": "degenerate single-atom measure"}
     else:
-        ld_radii = [2.0 ** (-k) for k in ld_exps if 2.0 ** (-k) > mu.blur]
+        ld_radii = [2.0 ** (-k) for k in s["local_dim_exponents"] if 2.0 ** (-k) > mu.blur]
         if len(ld_radii) >= 2:
-            reg = local_dim_regress(mu, ld_radii, centers, seed=seed)
+            reg = local_dim_regress(mu, ld_radii, s["centers"], seed=seed)
             _write_csv(
                 out / "local_dim.csv",
                 "radius,mean_log_mass",
@@ -383,29 +408,16 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_boxdim(cfg: dict, out: Path) -> int:
+def cmd_boxdim(cfg: dict, s: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    lam = cfg["lam"]
-    if not _is_number(lam):
-        raise ValueError(f"lam must be a number, got {lam!r}")
-    b = cfg["b"]
+    lam, b, m = s["lam"], s["b"], s["m"]
     d_theory = theoretical_D(lam, b)
-    m = cfg.get("m", 20)
-    exps = _exponents(cfg, "scale_exponents", list(range(4, 15)))
-    ld_exps = _exponents(cfg, "local_dim_exponents", list(range(4, 11)))
-    depth = cfg.get("depth")
-    if depth is not None:
-        _count("depth", depth, 0)
-    drop_edges = _count("drop_edges", cfg.get("drop_edges", 2), 0)
-    centers = _count("centers", cfg.get("centers", 200), 1)
-    seed = _count("seed", cfg.get("seed", 0), 0)
-    local_dim = _flag(cfg, "local_dim")
-    sample = sample_graph(lam, b, m, depth=depth)
-    res = box_count_dim(sample, exps, drop_edges=drop_edges)
+    sample = sample_graph(lam, b, m, depth=s["depth"])
+    res = box_count_dim(sample, s["scale_exponents"], drop_edges=s["drop_edges"])
     _write_csv(
         out / "counts.csv",
         "scale,count,used_in_fit",
-        ((float(s), float(c), int(u)) for s, c, u in zip(res.scales, res.counts, res.used)),
+        ((float(x), float(c), int(u)) for x, c, u in zip(res.scales, res.counts, res.used)),
     )
     summary = _report(
         cfg,
@@ -418,12 +430,12 @@ def cmd_boxdim(cfg: dict, out: Path) -> int:
         sample={"m": m, "depth": sample.depth, "tail": sample.tail},
     )
     artifacts = ["counts.csv", "report.json"]
-    if local_dim:
+    if s["local_dim"]:
         reg = graph_mu_local_dim(
             sample,
-            [2.0 ** (-k) for k in ld_exps],
-            n_centers=centers,
-            seed=seed,
+            [2.0 ** (-k) for k in s["local_dim_exponents"]],
+            n_centers=s["centers"],
+            seed=s["seed"],
         )
         summary["mu_local_dim"] = {"slope": reg.slope, "ci": [reg.ci_low, reg.ci_high]}
     _dump_json(out / "report.json", summary)
@@ -511,12 +523,6 @@ def cmd_selftest() -> int:
 _RUN_ONLY = ("command", "config", "out", "threads")
 
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--config", type=Path, help="JSON config file (flags win)")
-    sp.add_argument("--out", type=Path, default=Path("runs/latest"))
-    sp.add_argument("--b", type=int)
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
     """The --config file's keys, overridden by every flag given.
 
@@ -533,7 +539,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise ValueError(f"{args.config} holds no JSON object")
     cfg.update((k, v) for k, v in flags.items() if v is not None)
     if lam is not None:
-        cfg["gamma"] = 1.0 / (lam * cfg["b"])
+        if not (_is_number(lam) and lam > 0):
+            raise ValueError(f"lam must be a finite number > 0, got {lam!r}")
+        cfg["gamma"] = 1.0 / (lam * _value("b", SETTINGS["certify"]["b"][0], cfg["b"]))
     return cfg
 
 
@@ -544,6 +552,22 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
+# argparse keywords of each kind's flag; an integer kind's flag takes an int
+_FLAG_ARGS = {
+    "number": {"type": float},
+    "bool": {"action": "store_const", "const": True},
+    "ints": {"type": _int_list},
+    "mode": {"choices": MODES},
+    "psi": {"choices": ("classical", "zero")},
+}
+_HELP = {
+    "certify": "search for sigma(q) < (gamma b)^q",
+    "sweep": "certify across a gamma grid in parallel",
+    "measure": "fiber-measure statistics and local dimension",
+    "boxdim": "box-counting dimension of the graph",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="skewcert",
@@ -552,49 +576,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("certify", help="search for sigma(q) < (gamma b)^q")
-    ps = sub.add_parser("sweep", help="certify across a gamma grid in parallel")
-    pm = sub.add_parser("measure", help="fiber-measure statistics and local dimension")
-    pb = sub.add_parser("boxdim", help="box-counting dimension of the graph")
-    for sp in (pc, ps, pm, pb):
-        _add_common(sp)
-    for sp in (pc, ps):
-        sp.add_argument("--qmax", type=int)
-        sp.add_argument("--grid-p", type=int)
-        sp.add_argument("--max-nodes", type=int)
-
-    pc.add_argument("--gamma", type=float)
-    pc.add_argument("--lam", type=float, help="alternative to --gamma (gamma = 1/(lam b))")
-
-    ps.add_argument("--gamma-start", type=float)
-    ps.add_argument("--gamma-stop", type=float)
-    ps.add_argument("--gamma-step", type=float)
-    ps.add_argument(
+    parsers = {}
+    for command, rows in SETTINGS.items():
+        sp = parsers[command] = sub.add_parser(command, help=_HELP[command])
+        sp.add_argument("--config", type=Path, help="JSON config file (flags win)")
+        sp.add_argument("--out", type=Path, default=Path("runs/latest"))
+        for key, (kind, _, flag) in rows.items():
+            if flag is not None:
+                sp.add_argument(flag, dest=key, **_FLAG_ARGS.get(kind, {"type": int}))
+    parsers["certify"].add_argument(
+        "--lam", type=float, help="alternative to --gamma (gamma = 1/(lam b))"
+    )
+    parsers["sweep"].add_argument(
         "--threads",
         type=int,
         help="worker processes (default 1, or $SKEWCERT_THREADS); capped at the "
         "number of gamma values and of usable CPUs",
     )
-
-    pm.add_argument("--gamma", type=float)
-    pm.add_argument("--psi", choices=["classical", "zero"])
-    pm.add_argument("--x", type=float)
-    pm.add_argument("--depth", type=int)
-    pm.add_argument("--mode", choices=["exact", "mc"])
-    pm.add_argument("--samples", type=int)
-    pm.add_argument("--grid", type=int)
-    pm.add_argument("--seed", type=int)
-    pm.add_argument("--srb", action="store_const", const=True)
-    pm.add_argument("--r-exponents", type=_int_list)
-    pm.add_argument("--local-dim-exponents", type=_int_list)
-
-    pb.add_argument("--lam", type=float)
-    pb.add_argument("--m", type=int)
-    pb.add_argument("--depth", type=int)
-    pb.add_argument("--scales", dest="scale_exponents", type=_int_list)
-    pb.add_argument("--local-dim", action="store_const", const=True)
-    pb.add_argument("--seed", type=int)
-
     sub.add_parser("selftest", help="quick invariant battery")
 
     args = parser.parse_args(argv)
@@ -611,14 +609,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _merge_config(args)
-        if args.command == "certify":
-            return cmd_certify(cfg, out)
+        s = _settings(args.command, cfg)
         if args.command == "sweep":
-            threads = args.threads or int(os.environ.get(THREADS_ENV, "1"))
-            return cmd_sweep(cfg, out, threads)
-        if args.command == "measure":
-            return cmd_measure(cfg, out)
-        return cmd_boxdim(cfg, out)
+            threads = args.threads
+            if threads is None:
+                threads = int(os.environ.get(THREADS_ENV, "1"))
+            return cmd_sweep(cfg, s, out, _value("threads", 1, threads))
+        commands = {"certify": cmd_certify, "measure": cmd_measure, "boxdim": cmd_boxdim}
+        return commands[args.command](cfg, s, out)
     except (ValueError, KeyError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

@@ -67,7 +67,7 @@ def test_certificates_json_is_one_bit_exact_line(b2_out):
     text = (b2_out / "certificates.json").read_text()
     assert text.endswith("\n") and text.count("\n") == 1
     doc = json.loads(text)
-    v = cli._certify(B2_CFG, keep_graphs=True)
+    v = cli._certify(cli._settings("certify", B2_CFG), keep_graphs=True)
     assert doc == {"schema_version": "2", "certificates": cli._certificates_payload(v)}
     boxes = list(_intervals(doc))
     assert any(len(c["leaves"]) for c in doc["certificates"])
@@ -414,6 +414,28 @@ def test_certify_lam_flag_sets_gamma(tmp_path, monkeypatch):
     assert config == {"b": 6, "gamma": 1.0 / 3.0, "qmax": 1}
 
 
+@pytest.mark.parametrize("argv", [["--b", "6", "--lam", "0"], ["--b", "0", "--lam", "1"]])
+def test_certify_bad_lam_or_b_is_invalid_config(tmp_path, capsys, monkeypatch, argv):
+    # gamma = 1/(lam b) is computed only from a positive lam and a checked b
+    monkeypatch.setattr(cli, "certify_main", lambda *a, **k: pytest.fail("certification started"))
+    assert run_cli(["certify", *argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_non_finite_number_is_invalid_config(tmp_path, capsys, monkeypatch, x):
+    # flags, as a JSON config cannot carry NaN or infinity portably
+    for name in ("sample_mx", "srb_sample", "sample_graph"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("sampling started"))
+    argv = ["measure", "--b", "2", "--gamma", "0.7", "--x", x, "--depth", "6", "--grid", "2"]
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv,missing",
     [
@@ -452,14 +474,16 @@ def test_unusable_config_file_is_invalid_config(tmp_path, capsys, content):
         {"lam": 0.7, "b": 2, "m": 12.5},
     ],
 )
-def test_bad_srb_bins_or_graph_m_is_invalid_config(tmp_path, capsys, cfg):
+def test_bad_srb_bins_or_graph_m_is_invalid_config(tmp_path, capsys, monkeypatch, cfg):
+    for name in ("sample_mx", "srb_sample", "sample_graph"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("sampling started"))
     command = "boxdim" if "m" in cfg else "measure"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     rc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("invalid config: ")
-    # the settings are checked before anything is written (no i_r.csv either)
+    # the settings are checked before any sampling, so nothing is written
     assert list((tmp_path / "run").iterdir()) == []
 
 
@@ -484,9 +508,13 @@ def test_malformed_psi_or_gamma_is_invalid_config(tmp_path, capsys, bad):
         {"eps_ladder": [0.01]},
         {"d_max": 14},
         {"x_depth_max": 20},
+        {"qmx": 1},
+        {"lam": 0.5},
     ],
 )
-def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, bad):
+def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, monkeypatch, bad):
+    # a key certify does not read, such as a typo or the flag-only lam, is refused
+    monkeypatch.setattr(cli, "certify_main", lambda *a, **k: pytest.fail("certification started"))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"b": 2, "gamma": 0.7, "qmax": 1, **bad}))
     rc = run_cli(["certify", "--config", str(path), "--out", str(tmp_path / "run")])
@@ -510,16 +538,28 @@ def test_malformed_certify_value_is_invalid_config(tmp_path, capsys, bad):
         {"eps_ladder": [0.01]},
         {"d_max": 14},
         {"x_depth_max": 20},
+        {"qmx": 1},
+        {"--threads": "0"},
+        {"--threads": "-3"},
+        {"$SKEWCERT_THREADS": "0"},
     ],
 )
 def test_sweep_checks_settings_before_any_job(tmp_path, capsys, monkeypatch, bad):
-    # a setting that every gamma shares fails once, before any job starts
+    # a setting that every gamma shares fails once, before any job starts; a
+    # key "--flag" is passed as that flag, and "$NAME" as that environment variable
     monkeypatch.setattr(cli, "_sweep_worker", lambda job: pytest.fail("a job started"))
+    argv = []
+    for key, v in bad.items():
+        if key.startswith("$"):
+            monkeypatch.setenv(key[1:], v)
+        elif key.startswith("--"):
+            argv += [key, v]
+    cfg = {k: v for k, v in bad.items() if k[0] not in "$-"}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(
-        {"b": 6, "gamma_start": 0.3, "gamma_stop": 0.5, "gamma_step": 0.1, "qmax": 1, **bad}
+        {"b": 6, "gamma_start": 0.3, "gamma_stop": 0.5, "gamma_step": 0.1, "qmax": 1, **cfg}
     ))
-    rc = run_cli(["sweep", "--config", str(path), "--out", str(tmp_path / "run")])
+    rc = run_cli(["sweep", "--config", str(path), *argv, "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1
@@ -554,12 +594,16 @@ BOXDIM_CFG = {"lam": 0.7, "b": 2, "m": 12, "local_dim": True}
         ("measure", {"srb": True, "mode": "mc"}),
         ("measure", {"srb": "false"}),
         ("boxdim", {"local_dim": 1}),
+        ("measure", {"dpeth": 6}),
+        ("boxdim", {"scale": 5}),
+        ("measure", {"srb_bins": 64}),
     ],
 )
 def test_malformed_measure_or_boxdim_count_is_invalid_config(
     tmp_path, capsys, monkeypatch, command, bad
 ):
-    # a malformed setting fails before any sampling starts
+    # a malformed or unread setting fails before any sampling starts, and so
+    # do the SRB settings when srb is off
     for name in ("sample_mx", "srb_sample", "sample_graph"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("sampling started"))
     base = MEASURE_CFG if command == "measure" else BOXDIM_CFG

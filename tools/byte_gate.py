@@ -17,7 +17,11 @@ on a tangency witness at its first node), two certify runs with
 budget and no rung runs a full pass; b = 2, gamma = 0.68 at 500 nodes,
 whose missed rungs run full passes and exit 2), the b = 6 sweep, two fiber
 measures (exact; Monte Carlo with the SRB histogram), the box counts of
-W(0.7, 2) and W(0.5, 3) with their local dimension, and the selftest
+W(0.7, 2) and W(0.5, 3) with their local dimension, one measure and one
+boxdim read from `--config` files that set every key no flag sets to a
+value other than its default (measure's `centers`, `srb_points`,
+`srb_iters`, `srb_burn_in` and `srb_bins`; boxdim's
+`local_dim_exponents`, `drop_edges` and `centers`), and the selftest
 battery.  A last run prints
 sha256 digests of the chain bits of random walks (b = 2, 3, 6, 12; the
 classical psi and a four-harmonic one) and of the numpy lanes' arrays:
@@ -74,12 +78,24 @@ SYSTEMS = (
     + [(f"boxdim W({lam}, {b}) --local-dim",
         ["boxdim", "--lam", str(lam), "--b", str(b), "--local-dim", "--seed", "7"])
        for lam, b in ((0.7, 2), (0.5, 3))]
+    + [("measure b=2 gamma=0.75 config-only keys", ["measure"]),
+       ("boxdim W(0.6, 3) config-only keys", ["boxdim"])]
     + [("selftest", ["selftest"])]
 )
 
-# the --config file of each system that takes one (certify has no --psi flag)
+# the --config file of each system that takes one: certify has no --psi flag,
+# and the keys the other two set have no flag
 CONFIGS = {
     "certify b=2 gamma=0.7 q<=1 zero psi": {"b": 2, "gamma": 0.7, "qmax": 1, "psi": "zero"},
+    "measure b=2 gamma=0.75 config-only keys": {
+        "b": 2, "gamma": 0.75, "depth": 40, "mode": "mc", "samples": 20000, "grid": 8,
+        "seed": 2, "srb": True, "centers": 40, "srb_points": 300, "srb_iters": 400,
+        "srb_burn_in": 100, "srb_bins": [16, 24],
+    },
+    "boxdim W(0.6, 3) config-only keys": {
+        "lam": 0.6, "b": 3, "m": 14, "local_dim": True, "seed": 4,
+        "local_dim_exponents": [3, 4, 5, 6, 7], "drop_edges": 1, "centers": 50,
+    },
 }
 
 DIGEST = """
